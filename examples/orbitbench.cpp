@@ -2,8 +2,9 @@
 //
 // Runs one testbed experiment from command-line flags and prints a result
 // summary; the programmable front door to everything the figure benches do.
+// For example (one command line):
 //
-//   ./build/examples/orbitbench --scheme=orbitcache --skew=0.99 \
+//   ./build/examples/orbitbench --scheme=orbitcache --skew=0.99
 //       --servers=32 --server-rate=100000 --cache-size=128 --saturate
 //
 // Flags (defaults in brackets):

@@ -26,23 +26,25 @@ FabricController::FabricController(
 
   for (int r = 0; r < racks; ++r) {
     const Addr addr = controller_addr(r);
+    sim::Node* node = nullptr;
     if (scheme_ == testbed::Scheme::kOrbitCache) {
       ORBIT_CHECK(orbit_programs[static_cast<size_t>(r)] != nullptr);
       auto ctrl = std::make_unique<oc::Controller>(
           sim, net, orbit_programs[static_cast<size_t>(r)], partitioner_,
           server_addrs_, addr, /*self_port=*/0, spec.oc);
-      const auto at = topo_->AttachHost(ctrl.get(), addr, r, spec.ctrl_link);
-      ORBIT_CHECK(at.port_a == 0);
+      node = ctrl.get();
       orbit_ctrls_.push_back(std::move(ctrl));
     } else {
       ORBIT_CHECK(net_programs[static_cast<size_t>(r)] != nullptr);
       auto ctrl = std::make_unique<nc::NetController>(
           sim, net, net_programs[static_cast<size_t>(r)], partitioner_,
           server_addrs_, addr, /*self_port=*/0, spec.nc);
-      const auto at = topo_->AttachHost(ctrl.get(), addr, r, spec.ctrl_link);
-      ORBIT_CHECK(at.port_a == 0);
+      node = ctrl.get();
       net_ctrls_.push_back(std::move(ctrl));
     }
+    const auto at = topo_->AttachHost(node, addr, r, spec.ctrl_link);
+    ORBIT_CHECK(at.port_a == 0);
+    ctrl_links_.push_back(at.link);
   }
 }
 
@@ -51,19 +53,22 @@ void FabricController::PreloadTopKeys(
     const std::function<bool(const Key&)>& admit) {
   const size_t racks = static_cast<size_t>(num_racks());
   std::vector<std::vector<Key>> groups(racks);
-  // full counts (preload set, standby list) pairs that reached per_leaf;
-  // the scan stops once both are complete for every rack or ranks run out.
+  std::vector<size_t> dealt(racks, 0);  // ranks counted against per_leaf
+  // full counts the per-rack lists (dealt budget, plus the standby list on
+  // a multi-rack fabric) that reached per_leaf; the scan stops once every
+  // list is complete or ranks run out.
+  const size_t lists = racks > 1 ? 2 : 1;
   size_t full = 0;
-  for (uint64_t rank = 0; rank < max_rank && full < 2 * racks; ++rank) {
+  for (uint64_t rank = 0; rank < max_rank && full < lists * racks; ++rank) {
     Key key = keyspace.KeyAtRank(rank);
-    if (admit && !admit(key)) continue;
     const auto r = static_cast<size_t>(RackOfKey(key));
-    auto& group = groups[r];
-    if (group.size() < per_leaf) {
-      group.push_back(std::move(key));
-      if (group.size() == per_leaf) ++full;
+    const bool admitted = !admit || admit(key);
+    if (dealt[r] < per_leaf) {
+      if (++dealt[r] == per_leaf) ++full;
+      if (admitted) groups[r].push_back(std::move(key));
       continue;
     }
+    if (!admitted) continue;
     auto& standby = standby_[r];
     if (standby.size() >= per_leaf) continue;
     standby.push_back(std::move(key));

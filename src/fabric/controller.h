@@ -70,12 +70,18 @@ class FabricController {
   nc::NetController* netcache(int rack) {
     return net_ctrls_[static_cast<size_t>(rack)].get();
   }
+  // Rack r's controller access link (the switch-CPU channel).
+  sim::Link* ctrl_link(int rack) const {
+    return ctrl_links_[static_cast<size_t>(rack)];
+  }
 
-  // Walks popularity ranks 0.. and deals each key passing `admit` (null =
-  // admit all) to its owning leaf until every leaf holds `per_leaf` keys
-  // or `max_rank` ranks were scanned, then preloads each leaf. Keeps
-  // scanning past the preload set to stash up to `per_leaf` next-hottest
-  // keys per rack as the degraded-mode standby list (OnLeafDown).
+  // Walks popularity ranks 0.. and deals each key to its owning leaf until
+  // every leaf was dealt `per_leaf` ranks or `max_rank` ranks were scanned,
+  // then preloads each leaf with the dealt keys passing `admit` (null =
+  // admit all): the cacheable subset of each rack's hottest `per_leaf`
+  // (§5.1). On a multi-rack fabric it keeps scanning to stash up to
+  // `per_leaf` next-hottest admitted keys per rack as the degraded-mode
+  // standby list (OnLeafDown).
   void PreloadTopKeys(const wl::KeySpace& keyspace, size_t per_leaf,
                       uint64_t max_rank,
                       const std::function<bool(const Key&)>& admit);
@@ -124,6 +130,7 @@ class FabricController {
   testbed::Scheme scheme_;
   std::vector<std::unique_ptr<oc::Controller>> orbit_ctrls_;
   std::vector<std::unique_ptr<nc::NetController>> net_ctrls_;
+  std::vector<sim::Link*> ctrl_links_;
 
   // Degradation state (sized to num_racks by the constructor).
   std::vector<bool> degraded_;

@@ -9,6 +9,9 @@
 // destination) pair uses one fixed path and results are reproducible
 // regardless of execution order.
 //
+// One rack with zero spines is the single-ToR testbed of §5.1: one switch,
+// named "tor", and no uplinks. Every testbed run builds its switches here.
+//
 // The builder owns the switch devices and the route state. Hosts attach
 // through AttachHost(), which wires the access link and installs the
 // address on every switch: the owning leaf routes it to the access port,
@@ -28,7 +31,7 @@ namespace orbit::fabric {
 
 struct TopologySpec {
   int num_racks = 2;
-  int num_spines = 1;
+  int num_spines = 1;         // 0 only with one rack (the single ToR)
   rmt::AsicConfig asic;        // every leaf and spine uses the same ASIC
   sim::LinkConfig uplink;      // each leaf<->spine link
 };

@@ -140,7 +140,8 @@ struct FaultHooks {
   std::function<void(bool down)> set_ctrl_link_down;
   std::function<void()> reset_switch;
   std::function<void()> rebuild_cache;
-  // Fabric hooks (empty on single-switch testbeds).
+  // Fabric hooks (the testbed rejects fabric-targeted events on the
+  // single ToR, so these fire only on leaf–spine runs).
   std::function<void(int rack, int spine, bool down)> set_fabric_link_down;
   std::function<void(int rack, int spine, int dir, double loss,
                      SimTime extra_latency)>

@@ -58,13 +58,8 @@ RunOutcome RunExperiments(const std::vector<ExperimentSpec>& specs,
           options.flight_end_dump;
     }
   }
-  if (options.verify) {
-    // Fabric points stay unverified: the leaf-spine path is not wired to
-    // the shadow oracle (TestbedConfig::Validate rejects the combination).
-    for (Job& job : jobs)
-      if (!job.point.config.topo.fabric.enabled())
-        job.point.config.verify.enabled = true;
-  }
+  if (options.verify)
+    for (Job& job : jobs) job.point.config.verify.enabled = true;
   SaturationCache sat_cache;
   std::atomic<size_t> next{0};
   std::atomic<int> errors{0};

@@ -253,6 +253,11 @@ struct TestbedResult {
   std::string verify_report;
 };
 
+// Builds and runs one testbed. Every run is a fabric::FabricTopology: the
+// single ToR is one leaf and no spines, an enabled topo.fabric gives
+// num_racks leaves behind num_spines spines. Cache/program counters in the
+// result are sums over the leaves; RMT resource usage is one leaf's (all
+// leaves run the identical program).
 TestbedResult RunTestbed(const TestbedConfig& config);
 
 // The paper's throughput metric is *saturated* throughput: the highest

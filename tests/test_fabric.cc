@@ -1,8 +1,8 @@
 // Leaf–spine fabric (src/fabric/): config validation and fingerprinting,
-// end-to-end scale-out runs through RunTestbed's fabric dispatch, per-leaf
-// / per-spine / per-link telemetry, cross-switch trace stitching, and the
-// determinism guarantees the harness relies on (serial == parallel bytes,
-// equal-time FIFO ordering across spine hops).
+// end-to-end scale-out runs through RunTestbed, the single ToR as its
+// one-rack case, per-leaf / per-spine / per-link telemetry, cross-switch
+// trace stitching, and the determinism guarantees the harness relies on
+// (serial == parallel bytes, equal-time FIFO ordering across spine hops).
 #include "fabric/topology.h"
 
 #include <gtest/gtest.h>
@@ -141,6 +141,32 @@ TEST(FabricTestbed, CrossRackWritesStayCoherent) {
   EXPECT_GT(res.rx_rps, 0);
   EXPECT_GT(res.write_latency.count(), 0u);
   EXPECT_EQ(res.stale_reads, 0u) << "invalidation must hold across the spine";
+}
+
+TEST(FabricTestbed, OneRackFabricMatchesTheSingleSwitch) {
+  // The single-ToR testbed is the one-leaf, spine-less fabric: the same
+  // config as a 1-rack, 1-spine fabric (whose idle uplink carries nothing)
+  // must give identical metrics, with controller updates and the verifier
+  // on, for every scheme, with and without writes.
+  for (const Scheme scheme :
+       {Scheme::kNoCache, Scheme::kNetCache, Scheme::kOrbitCache}) {
+    for (const double write_ratio : {0.0, 0.2}) {
+      TestbedConfig one_rack = SmallFabricConfig(scheme, /*racks=*/1);
+      one_rack.workload.write_ratio = write_ratio;
+      one_rack.control.run_cache_updates = true;
+      one_rack.control.update_period = 10 * kMillisecond;
+      one_rack.control.report_period = 10 * kMillisecond;
+      one_rack.verify.enabled = true;
+      TestbedConfig single = one_rack;
+      single.topo.fabric.num_racks = 0;
+
+      const TestbedResult a = RunTestbed(single);
+      const TestbedResult b = RunTestbed(one_rack);
+      EXPECT_GT(a.verify_replies_checked, 0u);
+      EXPECT_EQ(ResultMetrics(a).Dump(), ResultMetrics(b).Dump())
+          << testbed::SchemeName(scheme) << " write_ratio=" << write_ratio;
+    }
+  }
 }
 
 TEST(FabricTestbed, SaturatedThroughputScalesWithRackCount) {

@@ -149,6 +149,35 @@ TEST(RunExperiments, PointTimeoutRecordsErrorAndContinues) {
       << out.records[0].error;
 }
 
+TEST(RunExperiments, VerifyReachesFabricPoints) {
+  // --verify covers every topology the harness runs: a leaf–spine point
+  // must reach its run function with the verifier switched on, exactly as
+  // a single-switch point does.
+  ExperimentSpec spec;
+  spec.name = "unit_verify_fabric";
+  spec.apply_paper_scale = false;
+  spec.base.topo.num_servers = 4;
+  spec.axes = {NumericAxis("racks", {0, 2}, [](testbed::TestbedConfig& cfg,
+                                               double v) {
+    cfg.topo.fabric.num_racks = static_cast<int>(v);
+  })};
+  spec.run = [](const PointRun& p, SaturationCache&) {
+    JsonValue m = JsonValue::MakeObject();
+    m.Set("fabric", p.config.topo.fabric.enabled() ? 1.0 : 0.0);
+    m.Set("verified", p.config.verify.enabled ? 1.0 : 0.0);
+    return m;
+  };
+  RunnerOptions options;
+  options.progress = false;
+  options.verify = true;
+  const RunOutcome out = RunExperiments({spec}, options);
+  ASSERT_EQ(out.records.size(), 2u);
+  EXPECT_EQ(out.errors, 0);
+  EXPECT_DOUBLE_EQ(out.records[1].Metric("fabric"), 1.0);
+  for (const MetricsRecord& rec : out.records)
+    EXPECT_DOUBLE_EQ(rec.Metric("verified"), 1.0) << "point " << rec.point;
+}
+
 TEST(RunExperiments, SaturationCacheDeduplicatesIdenticalConfigs) {
   ExperimentSpec spec = TinySimSpec();
   spec.name = "unit_sat_cache";

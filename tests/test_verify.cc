@@ -257,6 +257,24 @@ TEST(VerifyTestbed, CleanUnderSwitchResetAndCrash) {
   EXPECT_EQ(res.verify_violations, 0u) << res.verify_report;
 }
 
+TEST(VerifyTestbed, NetCacheSwitchResetWipesAndRebuilds) {
+  // A switch reset on the single ToR wipes NetCache's data plane too, and
+  // the controller reinstalls every entry from its shadow copy: hits dip
+  // while the cache is empty, every entry comes back, and the oracle sees
+  // no wrong reply across the rebuild.
+  const testbed::TestbedConfig clean =
+      SmallConfig(testbed::Scheme::kNetCache);
+  testbed::TestbedConfig reset = clean;
+  reset.fault = fault::SwitchResetAt(40 * kMillisecond);
+  const testbed::TestbedResult a = testbed::RunTestbed(clean);
+  const testbed::TestbedResult b = testbed::RunTestbed(reset);
+  EXPECT_EQ(b.faults_injected, 2u) << "the reset and the rebuild";
+  EXPECT_LT(b.lookup_hits, a.lookup_hits);
+  EXPECT_GT(b.cache_entries, 0u);
+  EXPECT_EQ(b.cache_entries, a.cache_entries);
+  EXPECT_EQ(b.verify_violations, 0u) << b.verify_report;
+}
+
 TEST(VerifyTestbed, ResultsNeutral) {
   // The whole point of the layer: enabling it must not move a single
   // measured number.
