@@ -1,17 +1,27 @@
-// The OrbitCache control plane (paper §3.8, Fig. 8).
+// The cache control plane (paper §3.8, Fig. 8), shared by OrbitCache and
+// the NetCache baseline.
 //
-// The controller runs on the switch CPU: it owns the cache-entry set,
-// performs periodic cache updates from two popularity sources — the data
-// plane's per-entry popularity counters (cached keys) and the storage
-// servers' top-k reports (uncached keys) — and fetches values into the
-// data plane by sending F-REQs whose F-REP replies the switch clones into
-// circulating cache packets. It also implements §3.10's dynamic cache
-// sizing from the overflow-request ratio.
+// The controller runs on the switch CPU. It owns the cache-entry set and
+// runs a periodic update loop: read the data plane's per-entry popularity
+// counters, rank the hot uncached candidates, replace the coldest cached
+// entries, and fetch the new values into the data plane with F-REQs,
+// retrying on timeout (§3.9).
+//
+// One controller drives one program, and the scheme shows only at a small
+// seam:
+//   - install/erase: OrbitCache matches the 128-bit key hash, NetCache the
+//     raw key;
+//   - candidates: storage servers' top-k reports for OrbitCache, the data
+//     plane's count-min hot-key reports for NetCache;
+//   - admission: NetCache cannot match keys wider than its match key, and
+//     blacklists keys whose fetched values proved too large to store;
+//   - OrbitCache-only tick steps: §3.10's dynamic cache sizing from the
+//     overflow-request ratio, and the write-back snapshot.
 //
 // Register access (counter reads, lookup-table updates) is a direct call
 // into the program, as over PCIe; packet exchange (F-REQ/F-REP, top-k
 // reports) flows through a regular switch port the controller is attached
-// to, using UDP plus timeout-based retransmission (§3.9).
+// to.
 #pragma once
 
 #include <cstdint>
@@ -22,17 +32,19 @@
 
 #include "common/types.h"
 #include "kv/partition.h"
+#include "netcache/program.h"
 #include "orbitcache/program.h"
 #include "sim/network.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
 
-namespace orbit::oc {
+namespace orbit::control {
 
 struct ControllerConfig {
   size_t cache_size = 128;       // current target entry count
   size_t min_cache_size = 32;    // dynamic-sizing floor
   size_t max_cache_size = 1024;  // dynamic-sizing ceiling (≤ program capacity)
+  // Dynamic sizing (§3.10) and write-back snapshots are OrbitCache-only.
   bool dynamic_sizing = false;
   double overflow_threshold = 0.01;  // 1% (paper §3.10)
   size_t sizing_step = 16;
@@ -47,25 +59,32 @@ struct ControllerConfig {
   SimTime cpu_delay = 10 * kMicrosecond;  // PCIe + CPU turnaround
 
   L4Port orbit_port = 5008;
-  L4Port ctrl_port = 7000;  // top-k reports land here
 };
 
-class Controller : public sim::Node, public sim::TimerHandler {
+class CacheController : public sim::Node, public sim::TimerHandler {
  public:
-  Controller(sim::Simulator* sim, sim::Network* net, OrbitProgram* program,
-             const kv::Partitioner* partitioner,
-             std::vector<Addr> server_addrs, Addr self_addr, int self_port,
-             const ControllerConfig& config);
+  CacheController(sim::Simulator* sim, sim::Network* net,
+                  oc::OrbitProgram* program,
+                  const kv::Partitioner* partitioner,
+                  std::vector<Addr> server_addrs, Addr self_addr,
+                  int self_port, const ControllerConfig& config);
+  CacheController(sim::Simulator* sim, sim::Network* net,
+                  nc::NetProgram* program, const kv::Partitioner* partitioner,
+                  std::vector<Addr> server_addrs, Addr self_addr,
+                  int self_port, const ControllerConfig& config);
 
-  // Installs `keys` as the initial cache (rank order) and fetches their
-  // values. Call before starting the workload.
+  // Installs the admissible prefix of `keys` (rank order) as the initial
+  // cache, up to cache_size, and fetches their values. Call before
+  // starting the workload.
   void Preload(const std::vector<Key>& keys);
 
   // Starts the periodic update timer.
   void Start();
 
   void OnPacket(sim::PacketPtr pkt, int port) override;
-  std::string name() const override { return "controller"; }
+  std::string name() const override {
+    return orbit_ != nullptr ? "controller" : "nc-controller";
+  }
   // Timer demux: the periodic update tick or the rebuild-sweep deadline.
   void OnTimer(uint64_t arg) override;
 
@@ -78,12 +97,12 @@ class Controller : public sim::Node, public sim::TimerHandler {
   // and completes quickly.
   void RebuildCache();
 
-  // Degraded-mode top-up (fabric leaf crash, PR 10): installs keys beyond
-  // the cache_size target — bounded only by data-plane capacity — so a
-  // surviving leaf can absorb its rack's next-hottest keys while a sibling
-  // leaf is in bypass. Returns how many keys were actually installed.
-  // WithdrawKey removes one such extra (or any cached key) when the crashed
-  // leaf recovers; returns false if the key was not cached.
+  // Degraded-mode top-up (fabric leaf crash): installs admissible keys
+  // beyond the cache_size target — bounded only by data-plane capacity —
+  // so a surviving leaf can absorb its rack's next-hottest keys while a
+  // sibling leaf is in bypass. Returns how many keys were actually
+  // installed. WithdrawKey removes one such extra (or any cached key) when
+  // the crashed leaf recovers; returns false if the key was not cached.
   size_t InstallExtra(const std::vector<Key>& keys);
   bool WithdrawKey(const Key& key);
 
@@ -102,6 +121,8 @@ class Controller : public sim::Node, public sim::TimerHandler {
     uint64_t size_increases = 0;
     uint64_t size_decreases = 0;
     uint64_t snapshot_entries_flushed = 0;
+    uint64_t skipped_wide_keys = 0;   // NetCache: wider than the match key
+    uint64_t blacklisted_values = 0;  // NetCache: value over the n×k ceiling
   };
   const Stats& stats() const { return stats_; }
 
@@ -123,11 +144,23 @@ class Controller : public sim::Node, public sim::TimerHandler {
   static constexpr uint64_t kTickArg = 0;
   static constexpr uint64_t kRebuildSweepArg = 1;
 
+  CacheController(sim::Simulator* sim, sim::Network* net,
+                  oc::OrbitProgram* orbit, nc::NetProgram* netcache,
+                  size_t capacity, const kv::Partitioner* partitioner,
+                  std::vector<Addr> server_addrs, Addr self_addr,
+                  int self_port, const ControllerConfig& config);
+
+  // Per-scheme seam.
+  bool Admits(const Key& key);
+  bool InstallEntry(const Key& key, const Hash128& hkey, uint32_t idx);
+  void ReconcileSelfEvictions();
+  void AdjustCacheSize();
+
   void Tick();
   void UpdateCacheEntries();
-  void AdjustCacheSize();
   void InsertKey(const Key& key, uint32_t idx);
   void EvictIdx(uint32_t idx);
+  void ForgetIdx(uint32_t idx);
   void SendFetch(const Key& key, const Hash128& hkey, Addr server);
   void CheckFetchTimeouts();
   void ArmRebuildSweep();
@@ -135,7 +168,8 @@ class Controller : public sim::Node, public sim::TimerHandler {
 
   sim::Simulator* sim_;
   sim::Network* net_;
-  OrbitProgram* program_;
+  oc::OrbitProgram* orbit_;    // exactly one of orbit_ / netcache_ is set
+  nc::NetProgram* netcache_;
   const kv::Partitioner* partitioner_;
   std::vector<Addr> server_addrs_;
   Addr self_addr_;
@@ -145,9 +179,11 @@ class Controller : public sim::Node, public sim::TimerHandler {
   std::unordered_map<uint32_t, CachedEntry> by_idx_;
   std::unordered_map<Key, uint32_t> by_key_;
   std::vector<uint32_t> free_idxs_;
-  // Uncached-key popularity accumulated from server reports this period.
+  // Uncached-key popularity reported this period (server top-k reports,
+  // or the data plane's hot-key reports).
   std::unordered_map<Key, uint64_t> reported_;
   std::unordered_map<Key, PendingFetch> pending_fetches_;
+  std::unordered_set<Key> blacklist_;  // NetCache values proven over-limit
   uint32_t fetch_seq_ = 1;
   SimTime last_snapshot_ = 0;
   bool started_ = false;
@@ -156,4 +192,4 @@ class Controller : public sim::Node, public sim::TimerHandler {
   Stats stats_;
 };
 
-}  // namespace orbit::oc
+}  // namespace orbit::control

@@ -14,35 +14,27 @@ FabricController::FabricController(
     const FabricControllerSpec& spec)
     : topo_(topo),
       partitioner_(partitioner),
-      server_addrs_(std::move(server_addrs)),
-      scheme_(spec.scheme) {
+      server_addrs_(std::move(server_addrs)) {
   const int racks = topo_->num_racks();
   ORBIT_CHECK_MSG(static_cast<int>(server_addrs_.size()) % racks == 0,
                   "servers must split evenly across racks");
-  ORBIT_CHECK(scheme_ != testbed::Scheme::kNoCache);
   degraded_.assign(static_cast<size_t>(racks), false);
   standby_.assign(static_cast<size_t>(racks), {});
   installed_extras_.assign(static_cast<size_t>(racks), {});
 
   for (int r = 0; r < racks; ++r) {
+    const auto i = static_cast<size_t>(r);
     const Addr addr = controller_addr(r);
-    sim::Node* node = nullptr;
-    if (scheme_ == testbed::Scheme::kOrbitCache) {
-      ORBIT_CHECK(orbit_programs[static_cast<size_t>(r)] != nullptr);
-      auto ctrl = std::make_unique<oc::Controller>(
-          sim, net, orbit_programs[static_cast<size_t>(r)], partitioner_,
-          server_addrs_, addr, /*self_port=*/0, spec.oc);
-      node = ctrl.get();
-      orbit_ctrls_.push_back(std::move(ctrl));
-    } else {
-      ORBIT_CHECK(net_programs[static_cast<size_t>(r)] != nullptr);
-      auto ctrl = std::make_unique<nc::NetController>(
-          sim, net, net_programs[static_cast<size_t>(r)], partitioner_,
-          server_addrs_, addr, /*self_port=*/0, spec.nc);
-      node = ctrl.get();
-      net_ctrls_.push_back(std::move(ctrl));
-    }
-    const auto at = topo_->AttachHost(node, addr, r, spec.ctrl_link);
+    ctrls_.push_back(
+        spec.scheme == testbed::Scheme::kOrbitCache
+            ? std::make_unique<control::CacheController>(
+                  sim, net, orbit_programs[i], partitioner_, server_addrs_,
+                  addr, /*self_port=*/0, spec.controller)
+            : std::make_unique<control::CacheController>(
+                  sim, net, net_programs[i], partitioner_, server_addrs_,
+                  addr, /*self_port=*/0, spec.controller));
+    const auto at =
+        topo_->AttachHost(ctrls_.back().get(), addr, r, spec.ctrl_link);
     ORBIT_CHECK(at.port_a == 0);
     ctrl_links_.push_back(at.link);
   }
@@ -75,22 +67,17 @@ void FabricController::PreloadTopKeys(
     if (standby.size() == per_leaf) ++full;
   }
   for (size_t r = 0; r < racks; ++r) {
-    if (groups[r].empty()) continue;
-    if (scheme_ == testbed::Scheme::kOrbitCache)
-      orbit_ctrls_[r]->Preload(groups[r]);
-    else
-      net_ctrls_[r]->Preload(groups[r]);
+    if (!groups[r].empty()) ctrls_[r]->Preload(groups[r]);
   }
 }
 
 void FabricController::Start() {
-  for (auto& c : orbit_ctrls_) c->Start();
-  for (auto& c : net_ctrls_) c->Start();
+  for (auto& c : ctrls_) c->Start();
 }
 
 size_t FabricController::TotalCacheSize() const {
   size_t total = 0;
-  for (const auto& c : orbit_ctrls_) total += c->current_cache_size();
+  for (const auto& c : ctrls_) total += c->current_cache_size();
   return total;
 }
 
@@ -119,11 +106,7 @@ void FabricController::OnLeafDown(int rack) {
   for (size_t r = 0; r < degraded_.size(); ++r) {
     if (degraded_[r] || !installed_extras_[r].empty()) continue;
     for (const Key& key : standby_[r]) {
-      const size_t installed =
-          scheme_ == testbed::Scheme::kOrbitCache
-              ? orbit_ctrls_[r]->InstallExtra({key})
-              : net_ctrls_[r]->InstallExtra({key});
-      if (installed == 1) {
+      if (ctrls_[r]->InstallExtra({key}) == 1) {
         installed_extras_[r].push_back(key);
         ++stats_.extra_keys_installed;
       }
@@ -140,10 +123,7 @@ void FabricController::OnLeafUp(int rack) {
   if (AnyDegraded()) return;  // another leaf still in bypass; keep extras
   for (size_t r = 0; r < installed_extras_.size(); ++r) {
     for (const Key& key : installed_extras_[r]) {
-      const bool withdrawn = scheme_ == testbed::Scheme::kOrbitCache
-                                 ? orbit_ctrls_[r]->WithdrawKey(key)
-                                 : net_ctrls_[r]->WithdrawKey(key);
-      if (withdrawn) ++stats_.extra_keys_withdrawn;
+      if (ctrls_[r]->WithdrawKey(key)) ++stats_.extra_keys_withdrawn;
     }
     installed_extras_[r].clear();
   }
@@ -153,10 +133,7 @@ void FabricController::RebuildLeaf(int rack) {
   const auto r = static_cast<size_t>(rack);
   ORBIT_CHECK(r < degraded_.size());
   ++stats_.leaf_rebuilds;
-  if (scheme_ == testbed::Scheme::kOrbitCache)
-    orbit_ctrls_[r]->RebuildCache();
-  else
-    net_ctrls_[r]->RebuildCache();
+  ctrls_[r]->RebuildCache();
 }
 
 void FabricController::RegisterTelemetry(telemetry::Registry& reg) {

@@ -18,10 +18,9 @@
 #include <memory>
 #include <vector>
 
+#include "control/controller.h"
 #include "fabric/topology.h"
 #include "kv/partition.h"
-#include "netcache/controller.h"
-#include "orbitcache/controller.h"
 #include "telemetry/counters.h"
 #include "testbed/constants.h"
 #include "testbed/testbed.h"
@@ -31,9 +30,8 @@ namespace orbit::fabric {
 
 struct FabricControllerSpec {
   testbed::Scheme scheme = testbed::Scheme::kOrbitCache;
-  oc::ControllerConfig oc;     // per-leaf template (kOrbitCache)
-  nc::NetControllerConfig nc;  // per-leaf template (kNetCache)
-  sim::LinkConfig ctrl_link;   // controller access link, per leaf
+  control::ControllerConfig controller;  // per-leaf template
+  sim::LinkConfig ctrl_link;             // controller access link, per leaf
 };
 
 class FabricController {
@@ -64,11 +62,8 @@ class FabricController {
     return RackOfServer(static_cast<int>(partitioner_->ServerFor(key)));
   }
 
-  oc::Controller* orbit(int rack) {
-    return orbit_ctrls_[static_cast<size_t>(rack)].get();
-  }
-  nc::NetController* netcache(int rack) {
-    return net_ctrls_[static_cast<size_t>(rack)].get();
+  control::CacheController* controller(int rack) const {
+    return ctrls_[static_cast<size_t>(rack)].get();
   }
   // Rack r's controller access link (the switch-CPU channel).
   sim::Link* ctrl_link(int rack) const {
@@ -89,7 +84,7 @@ class FabricController {
   // Starts every per-leaf controller's periodic update timer.
   void Start();
 
-  // Sum of per-leaf dynamic-sizing outcomes (kOrbitCache only).
+  // Sum of per-leaf cache-size targets (the dynamic-sizing outcome).
   size_t TotalCacheSize() const;
 
   // Graceful degradation (PR 10). OnLeafDown marks `rack`'s preload set
@@ -99,8 +94,7 @@ class FabricController {
   // with its own rack's standby keys. OnLeafUp clears the mark; once no
   // leaf is degraded the extras are withdrawn and the fabric returns to
   // its per-leaf budget. RebuildLeaf re-installs and refetches `rack`'s
-  // tracked entries after its wiped data plane comes back (scheme
-  // dispatch over the per-leaf controllers).
+  // tracked entries after its wiped data plane comes back.
   void OnLeafDown(int rack);
   void OnLeafUp(int rack);
   void RebuildLeaf(int rack);
@@ -127,9 +121,7 @@ class FabricController {
   FabricTopology* topo_;
   const kv::Partitioner* partitioner_;
   std::vector<Addr> server_addrs_;
-  testbed::Scheme scheme_;
-  std::vector<std::unique_ptr<oc::Controller>> orbit_ctrls_;
-  std::vector<std::unique_ptr<nc::NetController>> net_ctrls_;
+  std::vector<std::unique_ptr<control::CacheController>> ctrls_;
   std::vector<sim::Link*> ctrl_links_;
 
   // Degradation state (sized to num_racks by the constructor).

@@ -386,23 +386,22 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   // ---- control plane (one rack-scoped controller per leaf) ---------------
   kv::Partitioner partitioner(static_cast<uint32_t>(config.topo.num_servers),
                               config.seed);
+  const bool orbit_scheme = config.scheme == Scheme::kOrbitCache;
   std::unique_ptr<fabric::FabricController> fab_ctrl;
   if (config.scheme != Scheme::kNoCache) {
     fabric::FabricControllerSpec cspec;
     cspec.scheme = config.scheme;
     cspec.ctrl_link.rate_gbps = 10.0;
     cspec.ctrl_link.propagation = config.topo.link_delay;
-    cspec.oc.cache_size = config.cache.orbit_cache_size;
-    cspec.oc.max_cache_size = config.cache.orbit_capacity;
-    cspec.oc.min_cache_size =
-        std::min<size_t>(32, config.cache.orbit_cache_size);
-    cspec.oc.dynamic_sizing = config.cache.dynamic_sizing;
-    cspec.oc.update_period = config.control.update_period;
-    cspec.oc.orbit_port = kOrbitPort;
-    cspec.oc.ctrl_port = kCtrlPort;
-    cspec.nc.cache_size = config.cache.netcache_size;
-    cspec.nc.update_period = config.control.update_period;
-    cspec.nc.orbit_port = kOrbitPort;
+    control::ControllerConfig& cc = cspec.controller;
+    cc.cache_size = orbit_scheme ? config.cache.orbit_cache_size
+                                 : config.cache.netcache_size;
+    cc.max_cache_size = orbit_scheme ? config.cache.orbit_capacity
+                                     : config.cache.netcache_size;
+    cc.min_cache_size = std::min<size_t>(32, cc.cache_size);
+    cc.dynamic_sizing = orbit_scheme && config.cache.dynamic_sizing;
+    cc.update_period = config.control.update_period;
+    cc.orbit_port = kOrbitPort;
     fab_ctrl = std::make_unique<fabric::FabricController>(
         &sim, &net, &topo, &partitioner, server_addrs, orbit_ptrs, net_ptrs,
         cspec);
@@ -410,8 +409,9 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
       register_clone_target(fab_ctrl->controller_addr(r));
       if (orbit_ptrs[static_cast<size_t>(r)] != nullptr) {
         orbit_ptrs[static_cast<size_t>(r)]->SetRefetchFn(
-            [ctrl = fab_ctrl->orbit(r)](const Key& key, const Hash128& hkey,
-                                        Addr server) {
+            [ctrl = fab_ctrl->controller(r)](const Key& key,
+                                             const Hash128& hkey,
+                                             Addr server) {
               ctrl->RequestRefetch(key, hkey, server);
             });
       }
@@ -620,7 +620,6 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   // hottest items (§5.1 preloads the cacheable subset of the 10K hottest),
   // so the fabric-wide cache is the union of per-rack hot sets.
   if (config.cache.preload && fab_ctrl != nullptr) {
-    const bool orbit_scheme = config.scheme == Scheme::kOrbitCache;
     const size_t per_leaf = orbit_scheme ? config.cache.orbit_cache_size
                                          : config.cache.netcache_size;
     const uint64_t scan = std::min<uint64_t>(
@@ -835,7 +834,8 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
         secs;
     for (const auto& p : netps) res.cache_entries += p->num_entries();
   }
-  if (fab_ctrl != nullptr)
+  // The dynamic-sizing outcome; NetCache has no sizing and reports 0.
+  if (fab_ctrl != nullptr && orbit_scheme)
     res.controller_cache_size = fab_ctrl->TotalCacheSize();
   res.recirc_drops = sum_recirc_drops() - snap.recirc_drops;
   // All leaves run the identical program: one leaf's RMT ledger is the
@@ -938,7 +938,7 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     }
     if (census_skip.empty() && fab_ctrl != nullptr) {
       for (int r = 0; r < racks; ++r) {
-        const auto& cs = fab_ctrl->orbit(r)->stats();
+        const auto& cs = fab_ctrl->controller(r)->stats();
         if (cs.evictions > 0 || cs.fetch_retries > 0 ||
             cs.fetch_failures > 0) {
           census_skip = "controller evicted or re-fetched entries";

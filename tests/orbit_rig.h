@@ -2,7 +2,9 @@
 // tests: one switch, a scriptable client port, N storage servers, and an
 // optional controller. Unlike the testbed (which drives statistical
 // workloads), the rig sends individual packets and inspects individual
-// replies, so tests can exercise exact protocol interleavings.
+// replies, so tests can exercise exact protocol interleavings. Setting
+// RigConfig::netcache runs the NetCache program on the switch instead, so
+// controller tests can cover both schemes with one scenario.
 #pragma once
 
 #include <memory>
@@ -10,8 +12,9 @@
 #include <vector>
 
 #include "apps/server.h"
+#include "control/controller.h"
 #include "kv/partition.h"
-#include "orbitcache/controller.h"
+#include "netcache/program.h"
 #include "orbitcache/program.h"
 #include "rmt/switch.h"
 #include "sim/network.h"
@@ -30,8 +33,9 @@ struct RigConfig {
   double server_rate_rps = 0;  // unthrottled by default
   bool multi_packet_servers = false;
   uint32_t value_size = 64;
+  std::optional<nc::NetConfig> netcache;  // set: NetCache replaces OrbitCache
   bool with_controller = false;
-  oc::ControllerConfig controller;
+  control::ControllerConfig controller;
   // Link used for switch<->server connections (loss injection etc.).
   sim::LinkConfig server_link;
 };
@@ -63,12 +67,17 @@ class Rig {
         sw_(&sim_, &net_, "rig-tor", rmt::AsicConfig{}),
         partitioner_(static_cast<uint32_t>(config.num_servers)),
         client_(&sim_) {
-    program_ = std::make_unique<oc::OrbitProgram>(&sw_, config.orbit);
-    sw_.SetProgram(program_.get());
+    if (config.netcache) {
+      net_program_ = std::make_unique<nc::NetProgram>(&sw_, *config.netcache);
+      sw_.SetProgram(net_program_.get());
+    } else {
+      program_ = std::make_unique<oc::OrbitProgram>(&sw_, config.orbit);
+      sw_.SetProgram(program_.get());
+    }
 
     auto c = net_.Connect(&client_, &sw_, sim::LinkConfig{});
     sw_.AddRoute(kClientAddr, c.port_b);
-    program_->RegisterCloneTarget(kClientAddr, c.port_b);
+    RegisterCloneTarget(kClientAddr, c.port_b);
 
     for (int i = 0; i < config.num_servers; ++i) {
       app::ServerConfig scfg;
@@ -84,26 +93,33 @@ class Rig {
       slink.loss_seed = config.server_link.loss_seed + static_cast<uint64_t>(i);
       auto s = net_.Connect(servers_.back().get(), &sw_, slink);
       sw_.AddRoute(scfg.addr, s.port_b);
-      program_->RegisterCloneTarget(scfg.addr, s.port_b);  // snapshot forks
+      RegisterCloneTarget(scfg.addr, s.port_b);  // snapshot forks
       server_addrs_.push_back(scfg.addr);
+      server_links_.push_back(s.link);
     }
 
     if (config.with_controller) {
-      controller_ = std::make_unique<oc::Controller>(
-          &sim_, &net_, program_.get(), &partitioner_, server_addrs_,
-          kControllerAddr, 0, config.controller);
+      controller_ =
+          program_ != nullptr
+              ? std::make_unique<control::CacheController>(
+                    &sim_, &net_, program_.get(), &partitioner_,
+                    server_addrs_, kControllerAddr, 0, config.controller)
+              : std::make_unique<control::CacheController>(
+                    &sim_, &net_, net_program_.get(), &partitioner_,
+                    server_addrs_, kControllerAddr, 0, config.controller);
       auto k = net_.Connect(controller_.get(), &sw_, sim::LinkConfig{});
       sw_.AddRoute(kControllerAddr, k.port_b);
-      program_->RegisterCloneTarget(kControllerAddr, k.port_b);
-      program_->SetRefetchFn([this](const Key& key, const Hash128& hkey,
-                                    Addr server) {
-        controller_->RequestRefetch(key, hkey, server);
-      });
+      RegisterCloneTarget(kControllerAddr, k.port_b);
+      if (program_ != nullptr)
+        program_->SetRefetchFn([this](const Key& key, const Hash128& hkey,
+                                      Addr server) {
+          controller_->RequestRefetch(key, hkey, server);
+        });
     } else {
       // Route fetch acks somewhere harmless.
       auto k = net_.Connect(&client_, &sw_, sim::LinkConfig{});
       sw_.AddRoute(kControllerAddr, k.port_b);
-      program_->RegisterCloneTarget(kControllerAddr, k.port_b);
+      RegisterCloneTarget(kControllerAddr, k.port_b);
     }
   }
 
@@ -163,10 +179,37 @@ class Rig {
   sim::Network& net() { return net_; }
   rmt::SwitchDevice& sw() { return sw_; }
   oc::OrbitProgram& program() { return *program_; }
-  oc::Controller& controller() { return *controller_; }
+  control::CacheController& controller() { return *controller_; }
   ClientPort& client() { return client_; }
+  sim::Link& server_link(int i) {
+    return *server_links_[static_cast<size_t>(i)];
+  }
+
+  // Scheme-neutral data-plane views, for tests that run either program.
+  size_t num_entries() const {
+    return program_ != nullptr ? program_->num_entries()
+                               : net_program_->num_entries();
+  }
+  void ResetDataPlane() {
+    if (program_ != nullptr)
+      program_->ResetDataPlane();
+    else
+      net_program_->ResetDataPlane();
+  }
+  // Whether the switch holds a valid cached value for `key`.
+  bool CachesValid(const Key& key) const {
+    const auto idx = program_ != nullptr ? program_->FindIdx(HashKey128(key))
+                                         : net_program_->FindIdx(key);
+    if (!idx.has_value()) return false;
+    return program_ != nullptr ? program_->IsValid(*idx)
+                               : net_program_->IsValid(*idx);
+  }
 
  private:
+  void RegisterCloneTarget(Addr addr, int port) {
+    if (program_ != nullptr) program_->RegisterCloneTarget(addr, port);
+  }
+
   void Send(proto::Op op, const Key& key, uint32_t seq, kv::Value value) {
     proto::Message msg;
     msg.op = op;
@@ -186,9 +229,11 @@ class Rig {
   kv::Partitioner partitioner_;
   ClientPort client_;
   std::unique_ptr<oc::OrbitProgram> program_;
+  std::unique_ptr<nc::NetProgram> net_program_;
   std::vector<std::unique_ptr<app::ServerNode>> servers_;
   std::vector<Addr> server_addrs_;
-  std::unique_ptr<oc::Controller> controller_;
+  std::vector<sim::Link*> server_links_;
+  std::unique_ptr<control::CacheController> controller_;
 };
 
 }  // namespace orbit::testrig

@@ -450,6 +450,47 @@ TEST(FabricDegradation, NetCacheLeavesDegradeToo) {
   EXPECT_EQ(res.stale_reads, 0u);
 }
 
+// With a 5 ms update period the controllers tick inside the degraded
+// window. A tick must keep the survivor's top-up extras: they sit beyond
+// its cache_size target, but only dynamic sizing may shrink a cache.
+TEST(FabricDegradation, SurvivorKeepsItsExtrasAcrossUpdateTicks) {
+  for (const Scheme scheme : {Scheme::kOrbitCache, Scheme::kNetCache}) {
+    const bool orbit_scheme = scheme == Scheme::kOrbitCache;
+    SCOPED_TRACE(orbit_scheme ? "OrbitCache" : "NetCache");
+    TestbedConfig cfg = FaultFabricConfig(scheme);
+    cfg.control.update_period = 5 * kMillisecond;
+    FaultEvent crash{12 * kMillisecond, FaultKind::kLeafCrash, -1};
+    crash.rack = 0;
+    cfg.fault.events.push_back(crash);
+    const TestbedResult res = RunTestbed(cfg);
+    EXPECT_EQ(res.faults_injected, 1u);
+    // Leaf 0 is in bypass and empty. OrbitCache's leaf 1 holds its 16
+    // preloaded entries plus 16 standby keys; NetCache's leaf 1 fills its
+    // whole 500-entry lookup table.
+    EXPECT_EQ(res.cache_entries, orbit_scheme ? 32u : 500u);
+    EXPECT_EQ(res.stale_reads, 0u);
+  }
+}
+
+TEST(FabricDegradation, HealedFabricReturnsToItsPreloadAcrossUpdateTicks) {
+  for (const Scheme scheme : {Scheme::kOrbitCache, Scheme::kNetCache}) {
+    SCOPED_TRACE(scheme == Scheme::kOrbitCache ? "OrbitCache" : "NetCache");
+    TestbedConfig cfg = FaultFabricConfig(scheme);
+    cfg.control.update_period = 5 * kMillisecond;
+    const TestbedResult clean = RunTestbed(cfg);
+    cfg.fault = fault::LeafCrashAt(0, 12 * kMillisecond, 24 * kMillisecond,
+                                   /*rebuild_delay=*/kMillisecond);
+    cfg.verify.enabled = true;
+    const TestbedResult res = RunTestbed(cfg);
+    EXPECT_EQ(res.faults_injected, 3u);
+    // Extras withdrawn and leaf 0 rebuilt: the census matches a fault-free
+    // run's.
+    EXPECT_EQ(res.cache_entries, clean.cache_entries);
+    EXPECT_EQ(res.stale_reads, 0u);
+    EXPECT_EQ(res.verify_violations, 0u) << res.verify_report;
+  }
+}
+
 TEST(FabricDegradation, RackPartitionIsolatesThenHeals) {
   TestbedConfig cfg = FaultFabricConfig(Scheme::kOrbitCache);
   cfg.fault = fault::RackPartitionAt(0, 12 * kMillisecond, 24 * kMillisecond);

@@ -12,31 +12,53 @@ namespace {
 using testrig::Rig;
 using testrig::RigConfig;
 
-TEST(Failures, ControllerRetransmitsLostFetches) {
+// The rig's switch for one controller-test scheme. NetCache gets the same
+// entry capacity as the OrbitCache program.
+RigConfig SchemeRig(bool netcache, size_t capacity) {
   RigConfig cfg;
-  cfg.orbit.capacity = 16;
-  cfg.num_servers = 1;
-  cfg.with_controller = true;
-  cfg.controller.cache_size = 4;
-  cfg.controller.max_cache_size = 16;
-  cfg.controller.update_period = 2 * kMillisecond;
-  cfg.controller.fetch_timeout = kMillisecond;
-  cfg.controller.max_fetch_attempts = 100;  // keep retrying through loss
-  cfg.server_link.loss_rate = 0.5;  // half of all packets vanish
-  cfg.server_link.loss_seed = 7;
-  Rig rig(cfg);
+  cfg.orbit.capacity = capacity;
+  if (netcache) {
+    cfg.netcache.emplace();
+    cfg.netcache->capacity = capacity;
+  }
+  return cfg;
+}
 
-  rig.controller().Preload({"fkey-00000000001", "fkey-00000000002",
-                            "fkey-00000000003", "fkey-00000000004"});
-  rig.controller().Start();
-  // Give the retry machinery several periods.
-  rig.Run(60 * kMillisecond);
+const char* SchemeName(bool netcache) {
+  return netcache ? "NetCache" : "OrbitCache";
+}
 
-  EXPECT_GT(rig.controller().stats().fetch_retries, 0u)
-      << "loss must trigger retransmission";
-  EXPECT_EQ(rig.sw().stats().recirc_in_flight, 4)
-      << "every preloaded key has exactly one live cache packet despite "
-         "loss and retransmitted fetches";
+TEST(Failures, ControllerRetransmitsLostFetches) {
+  for (const bool netcache : {false, true}) {
+    SCOPED_TRACE(SchemeName(netcache));
+    RigConfig cfg = SchemeRig(netcache, 16);
+    cfg.num_servers = 1;
+    cfg.with_controller = true;
+    cfg.controller.cache_size = 4;
+    cfg.controller.max_cache_size = 16;
+    cfg.controller.update_period = 2 * kMillisecond;
+    cfg.controller.fetch_timeout = kMillisecond;
+    cfg.controller.max_fetch_attempts = 100;  // keep retrying through loss
+    cfg.server_link.loss_rate = 0.5;  // half of all packets vanish
+    cfg.server_link.loss_seed = 7;
+    Rig rig(cfg);
+
+    const std::vector<Key> keys = {"fkey-00000000001", "fkey-00000000002",
+                                   "fkey-00000000003", "fkey-00000000004"};
+    rig.controller().Preload(keys);
+    rig.controller().Start();
+    // Give the retry machinery several periods.
+    rig.Run(60 * kMillisecond);
+
+    EXPECT_GT(rig.controller().stats().fetch_retries, 0u)
+        << "loss must trigger retransmission";
+    for (const Key& key : keys) EXPECT_TRUE(rig.CachesValid(key)) << key;
+    if (!netcache) {
+      EXPECT_EQ(rig.sw().stats().recirc_in_flight, 4)
+          << "every preloaded key has exactly one live cache packet despite "
+             "loss and retransmitted fetches";
+    }
+  }
 }
 
 TEST(Failures, LossyServerPathStillServesCachedReads) {
@@ -90,34 +112,79 @@ TEST(Failures, SwitchResetWipesDataPlane) {
 }
 
 TEST(Failures, ControllerRebuildsCacheAfterSwitchReset) {
-  RigConfig cfg;
-  cfg.orbit.capacity = 16;
-  cfg.num_servers = 2;
-  cfg.with_controller = true;
-  cfg.controller.cache_size = 3;
-  cfg.controller.max_cache_size = 16;
-  Rig rig(cfg);
-  const std::vector<Key> keys = {"rkey-00000000001", "rkey-00000000002",
-                                 "rkey-00000000003"};
-  rig.controller().Preload(keys);
-  rig.Settle();
-  ASSERT_EQ(rig.sw().stats().recirc_in_flight, 3);
-
-  // Crash and reboot the ASIC, then let the controller restore state.
-  rig.program().ResetDataPlane();
-  rig.Settle();
-  ASSERT_EQ(rig.sw().stats().recirc_in_flight, 0);
-  rig.controller().RebuildCache();
-  rig.Settle();
-
-  EXPECT_EQ(rig.program().num_entries(), 3u);
-  EXPECT_EQ(rig.sw().stats().recirc_in_flight, 3);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    rig.SendRead(keys[i], 100 + static_cast<uint32_t>(i));
+  for (const bool netcache : {false, true}) {
+    SCOPED_TRACE(SchemeName(netcache));
+    RigConfig cfg = SchemeRig(netcache, 16);
+    cfg.num_servers = 2;
+    cfg.with_controller = true;
+    cfg.controller.cache_size = 3;
+    cfg.controller.max_cache_size = 16;
+    Rig rig(cfg);
+    const std::vector<Key> keys = {"rkey-00000000001", "rkey-00000000002",
+                                   "rkey-00000000003"};
+    rig.controller().Preload(keys);
     rig.Settle();
-    const auto* reply = rig.FindReply(100 + static_cast<uint32_t>(i));
-    ASSERT_NE(reply, nullptr) << keys[i];
-    EXPECT_EQ(reply->msg.cached, 1) << keys[i];
+    if (!netcache) {
+      ASSERT_EQ(rig.sw().stats().recirc_in_flight, 3);
+    }
+
+    // Crash and reboot the ASIC, then let the controller restore state.
+    rig.ResetDataPlane();
+    rig.Settle();
+    ASSERT_EQ(rig.num_entries(), 0u);
+    ASSERT_EQ(rig.sw().stats().recirc_in_flight, 0);
+    rig.controller().RebuildCache();
+    rig.Settle();
+
+    EXPECT_EQ(rig.num_entries(), 3u);
+    if (!netcache) {
+      EXPECT_EQ(rig.sw().stats().recirc_in_flight, 3);
+    }
+    for (size_t i = 0; i < keys.size(); ++i) {
+      rig.SendRead(keys[i], 100 + static_cast<uint32_t>(i));
+      rig.Settle();
+      const auto* reply = rig.FindReply(100 + static_cast<uint32_t>(i));
+      ASSERT_NE(reply, nullptr) << keys[i];
+      EXPECT_EQ(reply->msg.cached, 1) << keys[i];
+    }
+  }
+}
+
+TEST(Failures, RebuildRetriesLostRefetchesBeforeTheFirstTick) {
+  // The periodic update is far off, and the server is unreachable when the
+  // rebuild's refetches go out. The rebuild sweep must retry them on the
+  // fetch-timeout cadence, so the cache is whole again long before the
+  // first tick could.
+  for (const bool netcache : {false, true}) {
+    SCOPED_TRACE(SchemeName(netcache));
+    RigConfig cfg = SchemeRig(netcache, 16);
+    cfg.num_servers = 1;
+    cfg.with_controller = true;
+    cfg.controller.cache_size = 3;
+    cfg.controller.max_cache_size = 16;
+    cfg.controller.update_period = kSecond;
+    cfg.controller.fetch_timeout = kMillisecond;
+    Rig rig(cfg);
+    const std::vector<Key> keys = {"skey-00000000001", "skey-00000000002",
+                                   "skey-00000000003"};
+    rig.controller().Preload(keys);
+    rig.controller().Start();
+    rig.Settle();
+    for (const Key& key : keys) ASSERT_TRUE(rig.CachesValid(key)) << key;
+
+    rig.ResetDataPlane();
+    rig.Settle();
+    rig.server_link(0).set_down(true);
+    rig.controller().RebuildCache();
+    rig.Run(2 * kMillisecond);
+    for (const Key& key : keys) ASSERT_FALSE(rig.CachesValid(key)) << key;
+    rig.server_link(0).set_down(false);
+    rig.Run(20 * kMillisecond);
+
+    EXPECT_EQ(rig.controller().stats().updates, 0u) << "no tick yet";
+    EXPECT_GT(rig.controller().stats().fetch_retries, 0u);
+    EXPECT_EQ(rig.controller().stats().fetch_failures, 0u);
+    for (const Key& key : keys) EXPECT_TRUE(rig.CachesValid(key)) << key;
   }
 }
 
@@ -149,25 +216,28 @@ TEST(Failures, UnreachableServerMakesControllerGiveUpAndEvict) {
   // A dead server partition: fetches exhaust their retry budget, the
   // controller evicts the entry, and requests degrade to (failing)
   // forwards rather than waiting forever.
-  RigConfig cfg;
-  cfg.orbit.capacity = 8;
-  cfg.num_servers = 1;
-  cfg.with_controller = true;
-  cfg.controller.cache_size = 2;
-  cfg.controller.max_cache_size = 8;
-  cfg.controller.update_period = kMillisecond;
-  cfg.controller.fetch_timeout = 500 * kMicrosecond;
-  cfg.controller.max_fetch_attempts = 3;
-  cfg.server_link.loss_rate = 1.0;  // the server is unreachable
-  Rig rig(cfg);
-  rig.controller().Preload({"dead-key-0000001"});
-  rig.controller().Start();
-  rig.Run(20 * kMillisecond);
+  for (const bool netcache : {false, true}) {
+    SCOPED_TRACE(SchemeName(netcache));
+    RigConfig cfg = SchemeRig(netcache, 8);
+    cfg.num_servers = 1;
+    cfg.with_controller = true;
+    cfg.controller.cache_size = 2;
+    cfg.controller.max_cache_size = 8;
+    cfg.controller.update_period = kMillisecond;
+    cfg.controller.fetch_timeout = 500 * kMicrosecond;
+    cfg.controller.max_fetch_attempts = 3;
+    cfg.server_link.loss_rate = 1.0;  // the server is unreachable
+    Rig rig(cfg);
+    rig.controller().Preload({"dead-key-0000001"});
+    rig.controller().Start();
+    rig.Run(20 * kMillisecond);
 
-  EXPECT_GE(rig.controller().stats().fetch_failures, 1u);
-  EXPECT_EQ(rig.controller().num_cached(), 0u) << "entry evicted on give-up";
-  EXPECT_EQ(rig.program().num_entries(), 0u);
-  EXPECT_EQ(rig.sw().stats().recirc_in_flight, 0);
+    EXPECT_GE(rig.controller().stats().fetch_failures, 1u);
+    EXPECT_EQ(rig.controller().num_cached(), 0u)
+        << "entry evicted on give-up";
+    EXPECT_EQ(rig.num_entries(), 0u);
+    EXPECT_EQ(rig.sw().stats().recirc_in_flight, 0);
+  }
 }
 
 TEST(Failures, LinkLossCountsAreObservable) {

@@ -6,7 +6,6 @@
 
 #include "apps/server.h"
 #include "kv/partition.h"
-#include "netcache/controller.h"
 #include "rmt/switch.h"
 #include "sim/network.h"
 #include "sim/simulator.h"

@@ -1,10 +1,9 @@
 // NetCache control-plane behaviour: preload filtering, count-min-driven
 // updates, and the uncacheable-value blacklist.
-#include "netcache/controller.h"
-
 #include <gtest/gtest.h>
 
 #include "apps/server.h"
+#include "control/controller.h"
 #include "netcache/program.h"
 #include "rmt/switch.h"
 #include "sim/network.h"
@@ -35,12 +34,13 @@ class CtrlRig {
         &sim_, &net_, 0, scfg,
         [value_size](const Key&) { return value_size; });
 
-    NetControllerConfig ccfg;
+    control::ControllerConfig ccfg;
     ccfg.cache_size = 4;
+    ccfg.max_cache_size = 4;
     ccfg.update_period = 2 * kMillisecond;
     ccfg.fetch_timeout = kMillisecond;
     ccfg.orbit_port = kPort;
-    controller_ = std::make_unique<NetController>(
+    controller_ = std::make_unique<control::CacheController>(
         &sim_, &net_, program_.get(), &partitioner_,
         std::vector<Addr>{kServerAddr}, kCtrlAddr, 0, ccfg);
 
@@ -76,7 +76,7 @@ class CtrlRig {
   Sink sink_;
   std::unique_ptr<NetProgram> program_;
   std::unique_ptr<app::ServerNode> server_;
-  std::unique_ptr<NetController> controller_;
+  std::unique_ptr<control::CacheController> controller_;
 };
 
 TEST(NetController, PreloadFetchesValuesAndSkipsWideKeys) {
@@ -137,10 +137,11 @@ TEST(NetController, RejectsOversizedCacheConfig) {
   pcfg.capacity = 4;
   NetProgram prog(&sw, pcfg);
   kv::Partitioner part(1);
-  NetControllerConfig ccfg;
+  control::ControllerConfig ccfg;
   ccfg.cache_size = 8;  // > capacity
-  EXPECT_THROW(NetController(&sim, &net, &prog, &part, {kServerAddr},
-                             kCtrlAddr, 0, ccfg),
+  ccfg.max_cache_size = 4;
+  EXPECT_THROW(control::CacheController(&sim, &net, &prog, &part,
+                                        {kServerAddr}, kCtrlAddr, 0, ccfg),
                CheckFailure);
 }
 

@@ -1,6 +1,6 @@
 // Control-plane behaviour: preloading, popularity-driven cache updates
 // (paper §3.8, Fig. 8), fetch retries, and dynamic cache sizing (§3.10).
-#include "orbitcache/controller.h"
+#include "control/controller.h"
 
 #include <gtest/gtest.h>
 
