@@ -33,8 +33,8 @@
 #include "sim/network.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
-#include "telemetry/int/int.h"
 #include "telemetry/netstats.h"
+#include "telemetry/sink.h"
 #include "testbed/testbed.h"
 
 namespace orbit {
@@ -92,8 +92,8 @@ class SinkNode : public sim::Node {
 // Streams pooled packets across one link in waves; each wave drains fully
 // before the next starts, so the pool recycles the same few hundred
 // packets for the whole measurement. With `with_int` the link carries the
-// INT tap and the always-on histograms record every packet — the cost of
-// leaving observability on unsampled.
+// telemetry sink and the always-on histograms record every packet — the
+// cost of leaving observability on unsampled.
 double LinkMpps(uint64_t packets, bool with_int = false) {
   sim::Simulator simulator;
   sim::Network net(&simulator);
@@ -102,8 +102,8 @@ double LinkMpps(uint64_t packets, bool with_int = false) {
   link.rate_gbps = 100.0;
   link.propagation = 500;
   net.Connect(&src, &dst, link);
-  telemetry::IntSink sink({/*sample_every=*/0, /*histograms=*/true});
-  if (with_int) telemetry::AttachLinkInt(sink, net);
+  telemetry::Sink sink({/*sample_every=*/0, /*histograms=*/true});
+  if (with_int) telemetry::AttachLinkSink(sink, net);
 
   constexpr uint64_t kWave = 512;
   const auto start = std::chrono::steady_clock::now();

@@ -6,9 +6,8 @@
 #include "common/hash.h"
 #include "common/logging.h"
 #include "telemetry/counters.h"
-#include "telemetry/int/flight.h"
-#include "telemetry/int/int.h"
-#include "telemetry/trace.h"
+#include "telemetry/flight.h"
+#include "telemetry/sink.h"
 #include "verify/verify.h"
 
 namespace orbit::app {
@@ -82,8 +81,7 @@ void ClientNode::OnTimer(uint64_t arg) {
 
 void ClientNode::SendRequest(const WorkloadSource::Request& req,
                              bool correction, SimTime original_sent_at,
-                             uint64_t inherited_trace_id,
-                             uint32_t inherited_int_id) {
+                             uint32_t inherited_flow) {
   // SEQ values recycle at the 32-bit wrap. A recycled value that is still
   // pending (a slow request outliving ~2^32 sends) must not be reused:
   // pending_[seq] would silently overwrite the live entry, orphaning its
@@ -91,16 +89,13 @@ void ClientNode::SendRequest(const WorkloadSource::Request& req,
   // 0, kept as the "unset" convention in reply matching).
   uint32_t seq = next_seq_++;
   while (seq == 0 || pending_.count(seq) != 0) seq = next_seq_++;
-  uint64_t trace_id = inherited_trace_id;
-  if (trace_id == 0 && tracer_ != nullptr && tracer_->Sampled(seq))
-    trace_id = telemetry::MakeTraceId(config_.addr, seq);
-  const proto::Op op = correction ? proto::Op::kCorrectionReq
-                                  : (req.is_write ? proto::Op::kWriteReq
-                                                  : proto::Op::kReadReq);
-  uint32_t int_id = inherited_int_id;
-  if (int_id == 0 && int_ != nullptr && int_->Sampled(seq)) {
-    int_id = int_->StartFlow(telemetry::MakeTraceId(config_.addr, seq),
-                             static_cast<uint8_t>(op), sim_->now());
+  uint32_t flow = inherited_flow;
+  if (flow == 0 && sink_ != nullptr) {
+    const proto::Op op = correction ? proto::Op::kCorrectionReq
+                                    : (req.is_write ? proto::Op::kWriteReq
+                                                    : proto::Op::kReadReq);
+    flow = sink_->OpenFlow(config_.addr, seq, static_cast<uint8_t>(op),
+                           sim_->now());
   }
   Pending pending;
   pending.key = req.key;
@@ -110,8 +105,7 @@ void ClientNode::SendRequest(const WorkloadSource::Request& req,
   pending.is_correction = correction;
   pending.server = req.server;
   pending.value_size = req.value_size;
-  pending.trace_id = trace_id;
-  pending.int_id = int_id;
+  pending.flow = flow;
 
   ++stats_.tx_requests;
   if (req.is_write) {
@@ -120,10 +114,6 @@ void ClientNode::SendRequest(const WorkloadSource::Request& req,
     ++stats_.reads_sent;
   }
 
-  if (tracer_ != nullptr && trace_id != 0)
-    tracer_->Instant(track_, trace_id, "send", sim_->now(),
-                     correction ? "correction"
-                                : (req.is_write ? "write" : "read"));
   Transmit(seq, pending);
   pending_[seq] = std::move(pending);
   if (verifier_ != nullptr)
@@ -154,18 +144,25 @@ void ClientNode::Transmit(uint32_t seq, const Pending& pending) {
   }
 
   pkt->sent_at = pending.sent_at;  // first send — retransmits inherit it
-  pkt->trace_id = pending.trace_id;
-  pkt->int_id = pending.int_id;
+  pkt->flow = pending.flow;
   if (flight_ != nullptr)
     flight_->Note(flight_comp_, sim_->now(), "tx", seq,
                   static_cast<uint64_t>(pending.attempt));
-  if (int_ != nullptr && pending.int_id != 0) {
-    telemetry::IntHop hop;
-    hop.at = sim_->now();
-    hop.hop = int_hop_tx_;
-    hop.kind = telemetry::IntHopKind::kClientTx;
-    hop.queue_depth = static_cast<int64_t>(pending_.size());
-    int_->Stamp(pending.int_id, hop);
+  if (sink_ != nullptr && pending.flow != 0) {
+    const char* what = pending.attempt > 0 ? "retransmit"
+                       : pending.is_correction ? "correction"
+                       : pending.is_write      ? "write"
+                                               : "read";
+    // A retransmit carries its attempt number; a first send the depth of
+    // the pending list it joins.
+    sink_->Write({.at = sim_->now(),
+                  .value = pending.attempt > 0
+                               ? static_cast<int64_t>(pending.attempt)
+                               : static_cast<int64_t>(pending_.size()),
+                  .detail = what,
+                  .flow = pending.flow,
+                  .site = site_tx_,
+                  .kind = telemetry::HopKind::kClientTx});
   }
   net_->Send(this, port_, std::move(pkt));
 }
@@ -188,9 +185,6 @@ void ClientNode::OnDeadline(uint32_t seq, int attempt) {
   if (pending.attempt < config_.max_retries) {
     ++pending.attempt;
     ++stats_.retransmissions;
-    if (tracer_ != nullptr && pending.trace_id != 0)
-      tracer_->Instant(track_, pending.trace_id, "retransmit", sim_->now(),
-                       nullptr, static_cast<uint64_t>(pending.attempt));
     if (flight_ != nullptr)
       flight_->Note(flight_comp_, sim_->now(), "retransmit", seq,
                     static_cast<uint64_t>(pending.attempt));
@@ -202,14 +196,17 @@ void ClientNode::OnDeadline(uint32_t seq, int attempt) {
   }
   ++stats_.timeouts;
   if (config_.max_retries > 0) ++stats_.retries_exhausted;
-  if (tracer_ != nullptr && pending.trace_id != 0)
-    tracer_->Span(track_, pending.trace_id, "request", pending.sent_at,
-                  sim_->now() - pending.sent_at, "timeout");
   if (flight_ != nullptr)
     flight_->Note(flight_comp_, sim_->now(), "timeout", seq,
                   static_cast<uint64_t>(pending.attempt));
-  if (int_ != nullptr && pending.int_id != 0)
-    int_->FinishFlow(pending.int_id, sim_->now(), "timeout");
+  if (sink_ != nullptr && pending.flow != 0) {
+    sink_->Write({.at = sim_->now(),
+                  .dur = sim_->now() - pending.sent_at,
+                  .flow = pending.flow,
+                  .site = site_rx_,
+                  .kind = telemetry::HopKind::kTimeout});
+    sink_->CloseFlow(pending.flow, sim_->now(), "timeout");
+  }
   if (verifier_ != nullptr) verifier_->OnClientDrop(config_.addr, seq);
   pending_.erase(it);
 }
@@ -246,11 +243,10 @@ void ClientNode::HandleReply(const sim::Packet& pkt) {
     fix.server = pending.server;
     fix.is_write = false;
     const SimTime original = pending.sent_at;
-    const uint64_t trace_id = pending.trace_id;
-    const uint32_t int_id = pending.int_id;
+    const uint32_t flow = pending.flow;
     if (verifier_ != nullptr) verifier_->OnClientDrop(config_.addr, msg.seq);
     pending_.erase(it);
-    SendRequest(fix, /*correction=*/true, original, trace_id, int_id);
+    SendRequest(fix, /*correction=*/true, original, flow);
     return;
   }
 
@@ -293,34 +289,28 @@ void ClientNode::HandleReply(const sim::Packet& pkt) {
   rx_meter_.Add();
   if (timeline_ != nullptr) timeline_->Add(sim_->now());
   if (window_open_) RecordLatency(pkt, pending);
-  // How the request was ultimately satisfied; shared by the trace root
-  // span and the INT flow outcome.
-  const char* outcome =
-      pending.is_write
-          ? "write"
-          : (msg.cached != 0 ? "read_cached"
-                             : (pending.is_correction ? "read_correction"
-                                                      : "read_server"));
-  if (tracer_ != nullptr && pending.trace_id != 0) {
-    // The root span: total client-observed latency.
-    tracer_->Span(track_, pending.trace_id, "request", pending.sent_at,
-                  sim_->now() - pending.sent_at, outcome);
-  }
   if (flight_ != nullptr)
     flight_->Note(flight_comp_, sim_->now(), "rx", msg.seq,
                   static_cast<uint64_t>(msg.cached));
-  if (int_ != nullptr) {
+  if (sink_ != nullptr) {
     const SimTime rtt = sim_->now() - pending.sent_at;
-    int_->Record(int_hist_rtt_, rtt);
-    if (pending.int_id != 0) {
-      telemetry::IntHop hop;
-      hop.at = sim_->now();
-      hop.hop = int_hop_rx_;
-      hop.kind = telemetry::IntHopKind::kClientRx;
-      hop.latency_ns = rtt;
-      hop.recirc_count = pkt.recirc_count;
-      int_->Stamp(pending.int_id, hop);
-      int_->FinishFlow(pending.int_id, sim_->now(), outcome);
+    sink_->Record(hist_rtt_, rtt);
+    if (pending.flow != 0) {
+      // How the request was ultimately satisfied.
+      const char* outcome =
+          pending.is_write
+              ? "write"
+              : (msg.cached != 0 ? "read_cached"
+                                 : (pending.is_correction ? "read_correction"
+                                                          : "read_server"));
+      sink_->Write({.at = sim_->now(),
+                    .dur = rtt,
+                    .detail = outcome,
+                    .flow = pending.flow,
+                    .site = site_rx_,
+                    .recirc = pkt.recirc_count,
+                    .kind = telemetry::HopKind::kClientRx});
+      sink_->CloseFlow(pending.flow, sim_->now(), outcome);
     }
   }
   if (verifier_ != nullptr) {
@@ -346,19 +336,13 @@ void ClientNode::RecordLatency(const sim::Packet& pkt, const Pending& pending) {
   }
 }
 
-void ClientNode::SetTracer(telemetry::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr)
-    track_ = tracer_->RegisterTrack("client-" + std::to_string(config_.addr));
-}
-
-void ClientNode::SetIntSink(telemetry::IntSink* sink) {
-  int_ = sink;
-  if (int_ == nullptr) return;
+void ClientNode::SetSink(telemetry::Sink* sink) {
+  sink_ = sink;
+  if (sink_ == nullptr) return;
   const std::string me = "client-" + std::to_string(config_.addr);
-  int_hop_tx_ = int_->Hop(me + ".tx");
-  int_hop_rx_ = int_->Hop(me + ".rx");
-  int_hist_rtt_ = int_->Hist("hop.rtt.ns", "ns");
+  site_tx_ = sink_->Site(me + ".tx");
+  site_rx_ = sink_->Site(me + ".rx");
+  hist_rtt_ = sink_->Hist("hop.rtt.ns", "ns");
 }
 
 void ClientNode::SetFlightRecorder(telemetry::FlightRecorder* recorder) {

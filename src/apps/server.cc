@@ -5,9 +5,8 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "telemetry/counters.h"
-#include "telemetry/int/flight.h"
-#include "telemetry/int/int.h"
-#include "telemetry/trace.h"
+#include "telemetry/flight.h"
+#include "telemetry/sink.h"
 #include "verify/verify.h"
 
 namespace orbit::app {
@@ -58,21 +57,17 @@ void ServerNode::OnPacket(sim::PacketPtr pkt, int /*port*/) {
   if (op != Op::kFetchReq && queue_depth_ >= config_.rx_queue_limit) {
     ++stats_.dropped;
     sim::MarkEnd(*pkt, sim::PacketEnd::kDroppedRxQueue);
-    if (tracer_ != nullptr && pkt->trace_id != 0)
-      tracer_->Instant(track_, pkt->trace_id, "rx_drop", sim_->now(),
-                       "queue_full");
     if (flight_ != nullptr)
       flight_->Note(flight_comp_, sim_->now(), "rx_drop", pkt->msg.seq,
                     queue_depth_);
-    if (int_ != nullptr && pkt->int_id != 0) {
-      telemetry::IntHop hop;
-      hop.at = sim_->now();
-      hop.hop = int_hop_rx_;
-      hop.kind = telemetry::IntHopKind::kDrop;
-      hop.queue_depth = static_cast<int64_t>(queue_depth_);
-      hop.drop_reason = static_cast<uint8_t>(
-          1 + static_cast<int>(sim::DropReason::kQueueOverflow));
-      int_->Stamp(pkt->int_id, hop);
+    if (sink_ != nullptr && pkt->flow != 0) {
+      sink_->Write({.at = sim_->now(),
+                    .value = static_cast<int64_t>(queue_depth_),
+                    .flow = pkt->flow,
+                    .site = site_rx_,
+                    .kind = telemetry::HopKind::kDrop,
+                    .drop = static_cast<uint8_t>(
+                        1 + static_cast<int>(sim::DropReason::kQueueOverflow))});
     }
     return;
   }
@@ -85,38 +80,31 @@ void ServerNode::OnPacket(sim::PacketPtr pkt, int /*port*/) {
   const SimTime queue_wait = start - sim_->now();
   busy_until_ = start + service;
   ++queue_depth_;
-  if (tracer_ != nullptr && pkt->trace_id != 0) {
-    // Both spans are known at enqueue time (FIFO, fixed service time), so
-    // emit them here rather than splitting emission across events.
-    if (start > sim_->now())
-      tracer_->Span(track_, pkt->trace_id, "srv_queue", sim_->now(),
-                    start - sim_->now());
-    tracer_->Span(track_, pkt->trace_id, "srv_process", start, service);
-  }
   if (flight_ != nullptr)
     flight_->Note(flight_comp_, sim_->now(), "rx", pkt->msg.seq, queue_depth_);
-  if (int_ != nullptr) {
-    // Always-on hop-class histograms (every admitted request); the FIFO
-    // discipline makes both spans known at enqueue time, like the tracer.
-    int_->Record(int_hist_queue_, queue_wait);
-    int_->Record(int_hist_process_, service);
-    if (pkt->int_id != 0) {
-      telemetry::IntHop hop;
-      hop.at = sim_->now();
-      hop.hop = int_hop_rx_;
-      hop.kind = telemetry::IntHopKind::kServerRx;
-      hop.queue_depth = static_cast<int64_t>(queue_depth_);
-      hop.recirc_count = pkt->recirc_count;
-      int_->Stamp(pkt->int_id, hop);
-      hop.hop = int_hop_queue_;
-      hop.kind = telemetry::IntHopKind::kServerQueue;
-      hop.latency_ns = queue_wait;
-      int_->Stamp(pkt->int_id, hop);
-      hop.at = start;
-      hop.hop = int_hop_process_;
-      hop.kind = telemetry::IntHopKind::kServerProcess;
-      hop.latency_ns = service;
-      int_->Stamp(pkt->int_id, hop);
+  if (sink_ != nullptr) {
+    // Always-on hop-class histograms (every admitted request). The FIFO
+    // discipline makes the queue wait and the service slot known at
+    // enqueue time, so all three records are written here.
+    sink_->Record(hist_queue_, queue_wait);
+    sink_->Record(hist_process_, service);
+    if (pkt->flow != 0) {
+      telemetry::HopRecord rec{.at = sim_->now(),
+                               .value = static_cast<int64_t>(queue_depth_),
+                               .flow = pkt->flow,
+                               .site = site_rx_,
+                               .recirc = pkt->recirc_count,
+                               .kind = telemetry::HopKind::kServerRx};
+      sink_->Write(rec);
+      rec.dur = queue_wait;
+      rec.site = site_queue_;
+      rec.kind = telemetry::HopKind::kServerQueue;
+      sink_->Write(rec);
+      rec.at = start;
+      rec.dur = service;
+      rec.site = site_process_;
+      rec.kind = telemetry::HopKind::kServerProcess;
+      sink_->Write(rec);
     }
   }
   // The request rides the completion timer as its argument (a Packet* is
@@ -229,7 +217,7 @@ void ServerNode::Reply(const sim::Packet& req) {
 
   if (flight_ != nullptr)
     flight_->Note(flight_comp_, sim_->now(), "reply", msg.seq, size);
-  if (int_ != nullptr) int_->Record(int_hist_value_, size);
+  if (sink_ != nullptr) sink_->Record(hist_value_, size);
   for (uint8_t i = 0; i < frag_total; ++i) {
     auto rep = sim::NewPacket(config_.addr, req.src, config_.orbit_port,
                               req.sport);
@@ -242,8 +230,7 @@ void ServerNode::Reply(const sim::Packet& req) {
                                             msg.value.version());
     }
     rep->sent_at = sim_->now();
-    rep->trace_id = req.trace_id;  // the reply continues the request's trace
-    rep->int_id = req.int_id;      // …and its INT flow
+    rep->flow = req.flow;  // the reply continues the request's flow
     ++stats_.replies;
     net_->Send(this, port_, std::move(rep));
   }
@@ -265,20 +252,15 @@ void ServerNode::SendReport() {
   sim_->AfterTimer(config_.report_period, this, /*arg=*/0);
 }
 
-void ServerNode::SetTracer(telemetry::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr) track_ = tracer_->RegisterTrack(name());
-}
-
-void ServerNode::SetIntSink(telemetry::IntSink* sink) {
-  int_ = sink;
-  if (int_ == nullptr) return;
-  int_hop_rx_ = int_->Hop(name() + ".rx");
-  int_hop_queue_ = int_->Hop(name() + ".queue");
-  int_hop_process_ = int_->Hop(name() + ".process");
-  int_hist_queue_ = int_->Hist("hop.srv_queue.ns", "ns");
-  int_hist_process_ = int_->Hist("hop.srv_process.ns", "ns");
-  int_hist_value_ = int_->Hist("value.bytes", "bytes");
+void ServerNode::SetSink(telemetry::Sink* sink) {
+  sink_ = sink;
+  if (sink_ == nullptr) return;
+  site_rx_ = sink_->Site(name() + ".rx");
+  site_queue_ = sink_->Site(name() + ".queue");
+  site_process_ = sink_->Site(name() + ".process");
+  hist_queue_ = sink_->Hist("hop.srv_queue.ns", "ns");
+  hist_process_ = sink_->Hist("hop.srv_process.ns", "ns");
+  hist_value_ = sink_->Hist("value.bytes", "bytes");
 }
 
 void ServerNode::SetFlightRecorder(telemetry::FlightRecorder* recorder) {

@@ -23,9 +23,8 @@
 
 namespace orbit::telemetry {
 class FlightRecorder;
-class IntSink;
 class Registry;
-class Tracer;
+class Sink;
 }  // namespace orbit::telemetry
 
 namespace orbit::verify {
@@ -95,12 +94,11 @@ class ServerNode : public sim::Node, public sim::TimerHandler {
   // mints (writes and first-touch synthesis). Null disables.
   void SetVerifier(verify::Verifier* verifier) { verifier_ = verifier; }
 
-  // Telemetry (optional): queue/process spans for sampled requests, reply
-  // packets inherit the request's trace id.
-  void SetTracer(telemetry::Tracer* tracer);
-  // INT: stamps srv_rx/srv_queue/srv_process hops on sampled flows and
-  // owns the always-on queue-wait/service/value-size histograms.
-  void SetIntSink(telemetry::IntSink* sink);
+  // Telemetry (optional): writes srv_rx/srv_queue/srv_process records
+  // (or an admission drop) for sampled flows, reply packets inherit the
+  // request's flow, and owns the always-on queue-wait/service/value-size
+  // histograms.
+  void SetSink(telemetry::Sink* sink);
   // Flight recorder: per-server ring noting rx/rx_drop/reply.
   void SetFlightRecorder(telemetry::FlightRecorder* recorder);
   // Registers `<prefix>.*` counters and a queue-depth gauge against `reg`.
@@ -129,15 +127,13 @@ class ServerNode : public sim::Node, public sim::TimerHandler {
   // its capacity (every case in Process() assigns every field it reads).
   proto::Message scratch_;
 
-  telemetry::Tracer* tracer_ = nullptr;
-  int track_ = -1;
-  telemetry::IntSink* int_ = nullptr;
-  uint32_t int_hop_rx_ = 0;
-  uint32_t int_hop_queue_ = 0;
-  uint32_t int_hop_process_ = 0;
-  uint32_t int_hist_queue_ = 0;
-  uint32_t int_hist_process_ = 0;
-  uint32_t int_hist_value_ = 0;
+  telemetry::Sink* sink_ = nullptr;
+  uint32_t site_rx_ = 0;
+  uint32_t site_queue_ = 0;
+  uint32_t site_process_ = 0;
+  uint32_t hist_queue_ = 0;
+  uint32_t hist_process_ = 0;
+  uint32_t hist_value_ = 0;
   telemetry::FlightRecorder* flight_ = nullptr;
   uint32_t flight_comp_ = 0;
   verify::Verifier* verifier_ = nullptr;  // not owned; null = no checks

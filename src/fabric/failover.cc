@@ -7,7 +7,7 @@
 #include "common/check.h"
 #include "sim/packet.h"
 #include "telemetry/counters.h"
-#include "telemetry/int/flight.h"
+#include "telemetry/flight.h"
 
 namespace orbit::fabric {
 

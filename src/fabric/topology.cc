@@ -14,7 +14,7 @@ FabricTopology::FabricTopology(sim::Simulator* sim, sim::Network* net,
                   "a multi-rack fabric needs at least one spine");
 
   // The spine-less single rack is the §5.1 testbed: its one switch keeps
-  // the ToR's name, so trace tracks and INT hops read as before.
+  // the ToR's name, so its telemetry sites read `tor.*` as before.
   leaves_.reserve(static_cast<size_t>(spec.num_racks));
   for (int r = 0; r < spec.num_racks; ++r)
     leaves_.push_back(std::make_unique<rmt::SwitchDevice>(

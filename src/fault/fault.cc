@@ -11,7 +11,7 @@
 #include "common/check.h"
 #include "sim/simulator.h"
 #include "telemetry/counters.h"
-#include "telemetry/int/flight.h"
+#include "telemetry/flight.h"
 
 namespace orbit::fault {
 
@@ -331,11 +331,7 @@ void FaultInjector::Arm() {
 
 void FaultInjector::Note(FaultKind kind, int server) {
   ++stats_.injected;
-  if (tracer_ != nullptr) {
-    tracer_->Instant(track_, /*trace_id=*/0, FaultKindName(kind), sim_->now(),
-                     /*detail=*/nullptr,
-                     server >= 0 ? static_cast<uint64_t>(server) : 0);
-  }
+  WriteRecord(FaultKindName(kind), server >= 0 ? server : 0);
   if (flight_ != nullptr) {
     flight_->Note(flight_comp_, sim_->now(), FaultKindName(kind),
                   server >= 0 ? static_cast<uint64_t>(server) : 0);
@@ -370,9 +366,7 @@ void FaultInjector::Fire(const FaultEvent& ev) {
         sim_->After(schedule_.switch_rebuild_delay, [this] {
           ++stats_.cache_rebuilds;
           ++stats_.injected;
-          if (tracer_ != nullptr)
-            tracer_->Instant(track_, /*trace_id=*/0, "cache_rebuild",
-                             sim_->now());
+          WriteRecord("cache_rebuild", 0);
           hooks_.rebuild_cache();
         });
       }
@@ -416,10 +410,7 @@ void FaultInjector::Fire(const FaultEvent& ev) {
         sim_->After(schedule_.switch_rebuild_delay, [this, rack] {
           ++stats_.leaf_rebuilds;
           ++stats_.injected;
-          if (tracer_ != nullptr)
-            tracer_->Instant(track_, /*trace_id=*/0, "leaf_rebuild",
-                             sim_->now(), /*detail=*/nullptr,
-                             static_cast<uint64_t>(rack));
+          WriteRecord("leaf_rebuild", rack);
           hooks_.rebuild_leaf(rack);
         });
       }
@@ -460,8 +451,17 @@ void FaultInjector::Fire(const FaultEvent& ev) {
   }
 }
 
+void FaultInjector::WriteRecord(const char* what, int64_t value) {
+  if (sink_ == nullptr) return;
+  sink_->Write({.at = sim_->now(),
+                .value = value,
+                .detail = what,
+                .site = site_,
+                .kind = telemetry::HopKind::kFault});
+}
+
 void FaultInjector::RegisterTelemetry(telemetry::Registry* registry,
-                                      telemetry::Tracer* tracer) {
+                                      telemetry::Sink* sink) {
   const std::string who = "FaultInjector::RegisterTelemetry";
   if (registry != nullptr) {
     registry->AddCounter("fault.injected", [this] { return stats_.injected; }, who);
@@ -491,9 +491,9 @@ void FaultInjector::RegisterTelemetry(telemetry::Registry* registry,
     registry->AddCounter("fault.partitions",
                          [this] { return stats_.partitions; }, who);
   }
-  if (tracer != nullptr) {
-    tracer_ = tracer;
-    track_ = tracer->RegisterTrack("faults");
+  if (sink != nullptr) {
+    sink_ = sink;
+    site_ = sink->Site("faults");
   }
 }
 

@@ -50,7 +50,7 @@ class Simulator;
 namespace orbit::telemetry {
 class FlightRecorder;
 class Registry;
-class Tracer;
+class Sink;
 }
 
 namespace orbit::fault {
@@ -158,7 +158,7 @@ struct FaultHooks {
 // a simulator event that fires the matching hook (a switch reset also
 // schedules the rebuild `switch_rebuild_delay` later). Keeps per-kind
 // injection counts and optionally emits telemetry counters ("fault.*")
-// and trace instants on a "faults" track.
+// and flow-less fault records at a "faults" telemetry site.
 class FaultInjector {
  public:
   struct Stats {
@@ -185,10 +185,9 @@ class FaultInjector {
 
   const Stats& stats() const { return stats_; }
 
-  // Optional observability: counters under "fault.*" and instants on a
-  // dedicated track. Either pointer may be null.
-  void RegisterTelemetry(telemetry::Registry* registry,
-                         telemetry::Tracer* tracer);
+  // Optional observability: counters under "fault.*" and flow-less fault
+  // records at a dedicated "faults" site. Either pointer may be null.
+  void RegisterTelemetry(telemetry::Registry* registry, telemetry::Sink* sink);
 
   // Flight recorder: every injected fault is noted on a "faults" ring and
   // triggers a post-mortem dump of all component rings at that instant.
@@ -197,13 +196,16 @@ class FaultInjector {
  private:
   void Fire(const FaultEvent& ev);
   void Note(FaultKind kind, int server);
+  // Writes a flow-less fault record; `value` is the server, rack or spine
+  // the fault names (0 when it names none).
+  void WriteRecord(const char* what, int64_t value);
 
   sim::Simulator* sim_;
   FaultSchedule schedule_;
   FaultHooks hooks_;
   Stats stats_;
-  telemetry::Tracer* tracer_ = nullptr;
-  int track_ = -1;
+  telemetry::Sink* sink_ = nullptr;
+  uint32_t site_ = 0;
   telemetry::FlightRecorder* flight_ = nullptr;
   uint32_t flight_comp_ = 0;
 };

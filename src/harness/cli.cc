@@ -1,5 +1,6 @@
 #include "harness/cli.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 
@@ -26,21 +27,20 @@ Flags MakeFlags() {
   flags.AddString("out", "", "PATH",
                   "write one JSON metrics record per point to PATH");
   flags.AddString("trace-out", "", "PATH",
-                  "capture request-lifecycle spans and write one merged\n"
-                  "Chrome trace (open in Perfetto / chrome://tracing)");
+                  "record per-hop records of sampled requests and write\n"
+                  "them as one merged Chrome trace (open in Perfetto /\n"
+                  "chrome://tracing)");
   flags.AddUint64("trace-sample", 64, "N",
-                  "trace every Nth request per client (default 64)");
+                  "record every Nth request per client (default 64; used\n"
+                  "with --trace-out and --int-out)");
   flags.AddString("counters-out", "", "PATH",
                   "write switch/app counter snapshots as JSONL series");
   flags.AddDouble("snapshot-interval", 0, "MS",
                   "sim-time period between counter snapshots (default\n"
                   "0 = one final snapshot per point)");
   flags.AddString("int-out", "", "PATH",
-                  "collect INT postcards (per-hop records of sampled\n"
-                  "requests) and write them as JSONL");
-  flags.AddUint64("int-sample", 64, "N",
-                  "stamp INT postcards on every Nth request per client\n"
-                  "(default 64; used only with --int-out)");
+                  "write the same per-hop records as INT postcard JSONL\n"
+                  "(one line per sampled request)");
   flags.AddString("hist-out", "", "PATH",
                   "record always-on per-hop/per-link histograms and write\n"
                   "their end-of-run snapshots as JSONL");
@@ -99,12 +99,6 @@ CliOptions ParseCli(int argc, char** argv) {
   }
   opts.runner.snapshot_interval =
       static_cast<SimTime>(snapshot_ms * kMillisecond);
-  const uint64_t int_sample = flags.GetUint64("int-sample");
-  if (int_sample == 0 || int_sample > UINT32_MAX) {
-    opts.error = "bad --int-sample value: " + flags.Raw("int-sample");
-    return opts;
-  }
-  opts.runner.int_sample = static_cast<uint32_t>(int_sample);
   opts.runner.verify = flags.GetBool("verify");
   opts.runner.progress = !flags.GetBool("no-progress");
   opts.out_path = flags.GetString("out");
@@ -125,10 +119,11 @@ void PrintHelp(const char* prog, const std::vector<ExperimentSpec>& specs) {
       "       [--timeout SEC] [--out results.jsonl] [--list] [--no-progress]\n"
       "       [--trace-out trace.json] [--trace-sample N]\n"
       "       [--counters-out counters.jsonl] [--snapshot-interval MS]\n"
-      "       [--int-out int.jsonl] [--int-sample N] [--hist-out hist.jsonl]\n"
+      "       [--int-out int.jsonl] [--hist-out hist.jsonl]\n"
       "       [--flight-dump flight.txt] [--verify]\n"
       "\n"
-      "  NAME...            run only experiments whose name contains NAME\n"
+      "  NAME...            run only experiment NAME, or if no experiment is\n"
+      "                     named NAME, every one whose name contains it\n"
       "%s"
       "\n"
       "experiments and swept parameters:\n",
@@ -145,6 +140,27 @@ void PrintHelp(const char* prog, const std::vector<ExperimentSpec>& specs) {
       std::printf("      %-20s%d (derived seeds)\n", "repetitions",
                   spec.repetitions);
   }
+}
+
+std::vector<ExperimentSpec> SelectExperiments(
+    const std::vector<ExperimentSpec>& specs,
+    const std::vector<std::string>& filters) {
+  if (filters.empty()) return specs;
+  const auto is_name = [&specs](const std::string& f) {
+    return std::any_of(specs.begin(), specs.end(),
+                       [&f](const ExperimentSpec& s) { return s.name == f; });
+  };
+  std::vector<ExperimentSpec> selected;
+  for (const auto& spec : specs) {
+    for (const auto& f : filters) {
+      if (is_name(f) ? spec.name == f
+                   : spec.name.find(f) != std::string::npos) {
+        selected.push_back(spec);
+        break;
+      }
+    }
+  }
+  return selected;
 }
 
 int HarnessMain(const std::vector<ExperimentSpec>& specs, int argc,
@@ -166,20 +182,11 @@ int HarnessMain(const std::vector<ExperimentSpec>& specs, int argc,
     return 0;
   }
 
-  std::vector<ExperimentSpec> selected;
-  if (opts.filters.empty()) {
-    selected = specs;
-  } else {
-    for (const auto& spec : specs)
-      for (const auto& f : opts.filters)
-        if (spec.name.find(f) != std::string::npos) {
-          selected.push_back(spec);
-          break;
-        }
-    if (selected.empty()) {
-      std::fprintf(stderr, "no experiment matches the given filters\n");
-      return 2;
-    }
+  const std::vector<ExperimentSpec> selected =
+      SelectExperiments(specs, opts.filters);
+  if (selected.empty()) {
+    std::fprintf(stderr, "no experiment matches the given filters\n");
+    return 2;
   }
 
   RunnerOptions runner = opts.runner;
@@ -187,11 +194,12 @@ int HarnessMain(const std::vector<ExperimentSpec>& specs, int argc,
       !opts.int_out_path.empty() || !opts.hist_out_path.empty() ||
       !opts.flight_dump_path.empty()) {
     runner.capture_telemetry = true;
-    // Collect only what will be written: spans cost nothing when sampling
-    // is off, and counter snapshots cost nothing unless requested.
-    if (opts.trace_out_path.empty()) runner.trace_sample = 0;
+    // Collect only what will be written: no flows open unless one of the
+    // two hop-record exporters is requested, and counter snapshots cost
+    // nothing unless requested.
+    if (opts.trace_out_path.empty() && opts.int_out_path.empty())
+      runner.trace_sample = 0;
   }
-  if (opts.int_out_path.empty()) runner.int_sample = 0;
   runner.histograms = !opts.hist_out_path.empty();
   if (!opts.flight_dump_path.empty()) {
     runner.flight_recorder = true;

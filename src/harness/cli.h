@@ -5,17 +5,18 @@
 //   --jobs N            parallel points (default 1 = fully serial)
 //   --out PATH          write JSON-lines metrics records
 //   --timeout SEC       per-point wall-clock budget (0 = off)
-//   --trace-out PATH    write a merged Chrome trace (Perfetto-viewable)
-//   --trace-sample N    trace every Nth request per client (default 64)
+//   --trace-out PATH    write the hop-record stream as a merged Chrome trace
+//   --int-out PATH      write the same stream as INT postcard JSONL
+//   --trace-sample N    record every Nth request per client (default 64)
 //   --counters-out PATH write counter-snapshot JSONL time series
 //   --snapshot-interval MS  periodic registry snapshots (0 = final only)
-//   --int-out PATH      write INT postcards (per-hop records) as JSONL
-//   --int-sample N      INT postcard sampling period (default 64)
 //   --hist-out PATH     write always-on histogram snapshots as JSONL
 //   --flight-dump PATH  write flight-recorder dumps (end of run + faults)
 //   --list              list experiments and exit
 //   --help              usage plus each experiment's swept parameters
-//   NAME...             positional filters (substring match on experiment)
+//   NAME...             positional filters: a filter equal to an experiment
+//                       name selects only it, any other selects every
+//                       experiment whose name contains it
 //
 // The telemetry flags enable instrumentation only for the files they
 // produce: with none given, runs are bit-identical to a build without the
@@ -36,9 +37,9 @@ namespace orbit::harness {
 struct CliOptions {
   RunnerOptions runner;
   std::string out_path;
-  std::string trace_out_path;     // non-empty enables trace capture
+  std::string trace_out_path;     // non-empty enables hop records
   std::string counters_out_path;  // non-empty enables counter snapshots
-  std::string int_out_path;       // non-empty enables INT postcards
+  std::string int_out_path;       // non-empty enables hop records
   std::string hist_out_path;      // non-empty enables always-on histograms
   std::string flight_dump_path;   // non-empty enables the flight recorder
   std::vector<std::string> filters;
@@ -50,6 +51,14 @@ struct CliOptions {
 };
 
 CliOptions ParseCli(int argc, char** argv);
+
+// The experiments the positional filters pick, in `specs` order (all of
+// them without filters). A filter equal to an experiment name selects only
+// that experiment (so "fig_fabric" leaves out "fig_fabric_failover"); any
+// other filter selects every experiment whose name contains it.
+std::vector<ExperimentSpec> SelectExperiments(
+    const std::vector<ExperimentSpec>& specs,
+    const std::vector<std::string>& filters);
 
 void PrintHelp(const char* prog, const std::vector<ExperimentSpec>& specs);
 

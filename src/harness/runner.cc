@@ -51,7 +51,6 @@ RunOutcome RunExperiments(const std::vector<ExperimentSpec>& specs,
       jobs[i].point.config.telemetry.trace_sample = options.trace_sample;
       jobs[i].point.config.telemetry.snapshot_interval =
           options.snapshot_interval;
-      jobs[i].point.config.telemetry.int_sample = options.int_sample;
       jobs[i].point.config.telemetry.histograms = options.histograms;
       jobs[i].point.config.telemetry.flight_recorder = options.flight_recorder;
       jobs[i].point.config.telemetry.flight_end_dump =

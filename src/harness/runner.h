@@ -31,9 +31,8 @@ struct RunnerOptions {
   // the metrics themselves, so record JSONL stays byte-identical either
   // way. Sim-time timestamps keep captures deterministic across --jobs.
   bool capture_telemetry = false;
-  uint32_t trace_sample = 64;        // trace every Nth request per client
+  uint32_t trace_sample = 64;        // open a flow every Nth request/client
   SimTime snapshot_interval = 0;     // 0 = final snapshot only
-  uint32_t int_sample = 0;           // INT postcards every Nth request (0=off)
   bool histograms = false;           // always-on per-hop/per-link histograms
   bool flight_recorder = false;      // per-component event rings
   bool flight_end_dump = false;      // dump rings at end of run too

@@ -23,8 +23,8 @@ std::string MergedChromeTrace(
   ORBIT_CHECK(records.size() == captures.size());
   std::vector<telemetry::LabeledCapture> processes;
   for (size_t i = 0; i < records.size(); ++i) {
-    if (captures[i].events.empty()) continue;
-    processes.emplace_back(CaptureLabel(records[i]), &captures[i]);
+    if (captures[i].stream.records.empty()) continue;
+    processes.emplace_back(CaptureLabel(records[i]), &captures[i].stream);
   }
   return telemetry::ChromeTraceJson(processes);
 }
@@ -60,7 +60,7 @@ std::string CountersJsonl(const std::vector<MetricsRecord>& records,
 
 namespace {
 
-// Shared record-identity prefix so INT/hist lines join against record and
+// Shared record-identity prefix so postcard/hist lines join against record and
 // counter JSONL on (experiment, point, rep).
 JsonValue IdentityLine(const MetricsRecord& record) {
   JsonValue line = JsonValue::MakeObject();
@@ -80,10 +80,16 @@ std::string IntJsonl(const std::vector<MetricsRecord>& records,
   ORBIT_CHECK(records.size() == captures.size());
   std::string out;
   for (size_t i = 0; i < records.size(); ++i) {
-    const telemetry::IntCapture& ic = captures[i].int_capture;
-    for (const telemetry::IntFlowRec& flow : ic.flows) {
+    const telemetry::StreamCapture& sc = captures[i].stream;
+    // One postcard per flow: its records, in write order.
+    std::vector<std::vector<const telemetry::HopRecord*>> by_flow(
+        sc.flows.size());
+    for (const telemetry::HopRecord& rec : sc.records)
+      if (rec.flow != 0) by_flow[rec.flow - 1].push_back(&rec);
+    for (size_t f = 0; f < sc.flows.size(); ++f) {
+      const telemetry::FlowRec& flow = sc.flows[f];
       JsonValue line = IdentityLine(records[i]);
-      line.Set("flow", static_cast<int64_t>(flow.flow_id));
+      line.Set("flow", static_cast<int64_t>(flow.id));
       line.Set("op", proto::OpName(static_cast<proto::Op>(flow.op)));
       line.Set("start_ns", static_cast<int64_t>(flow.started_at));
       line.Set("finish_ns", static_cast<int64_t>(flow.finished_at));
@@ -91,15 +97,16 @@ std::string IntJsonl(const std::vector<MetricsRecord>& records,
       if (flow.truncated_hops > 0)
         line.Set("truncated_hops", static_cast<int64_t>(flow.truncated_hops));
       JsonValue hops = JsonValue::MakeArray();
-      for (const telemetry::IntHop& hop : flow.hops) {
+      for (const telemetry::HopRecord* rec : by_flow[f]) {
         JsonValue h = JsonValue::MakeObject();
-        h.Set("hop", ic.hop_names.at(hop.hop));
-        h.Set("kind", telemetry::IntHopKindName(hop.kind));
-        h.Set("t_ns", static_cast<int64_t>(hop.at));
-        h.Set("latency_ns", hop.latency_ns);
-        h.Set("queue_depth", hop.queue_depth);
-        h.Set("recirc", static_cast<int64_t>(hop.recirc_count));
-        h.Set("drop", static_cast<int64_t>(hop.drop_reason));
+        h.Set("hop", sc.sites.at(rec->site));
+        h.Set("kind", telemetry::HopKindName(rec->kind));
+        h.Set("t_ns", static_cast<int64_t>(rec->at));
+        h.Set("latency_ns", static_cast<int64_t>(rec->dur));
+        h.Set("queue_depth", rec->value);
+        h.Set("recirc", static_cast<int64_t>(rec->recirc));
+        h.Set("drop", static_cast<int64_t>(rec->drop));
+        if (rec->detail != nullptr) h.Set("detail", rec->detail);
         hops.Append(std::move(h));
       }
       line.Set("hops", std::move(hops));
@@ -115,7 +122,7 @@ std::string HistJsonl(const std::vector<MetricsRecord>& records,
   ORBIT_CHECK(records.size() == captures.size());
   std::string out;
   for (size_t i = 0; i < records.size(); ++i) {
-    for (const telemetry::HistSnapshot& h : captures[i].int_capture.hists) {
+    for (const telemetry::HistSnapshot& h : captures[i].stream.hists) {
       JsonValue line = IdentityLine(records[i]);
       line.Set("hist", h.name);
       line.Set("unit", h.unit);

@@ -1,6 +1,7 @@
 // Harness-side telemetry output: labeling per-point RunCaptures, merging
-// them into one Chrome trace-event document, and flattening counter
-// snapshots into JSON-lines time series.
+// their hop-record streams into one Chrome trace-event document or into
+// postcard JSONL, and flattening counter snapshots and histograms into
+// JSON-lines files.
 //
 // Both writers share the harness determinism contract: output depends only
 // on the records/captures (which are themselves deterministic functions of
@@ -25,7 +26,7 @@ std::string CaptureLabel(const MetricsRecord& record);
 
 // Merges slot-aligned captures (as produced by RunExperiments with
 // capture_telemetry set) into one Chrome trace-event JSON document; points
-// with empty captures are skipped. records/captures must be equal length.
+// without hop records are skipped. records/captures must be equal length.
 std::string MergedChromeTrace(
     const std::vector<MetricsRecord>& records,
     const std::vector<telemetry::RunCapture>& captures);
@@ -38,12 +39,16 @@ std::string MergedChromeTrace(
 std::string CountersJsonl(const std::vector<MetricsRecord>& records,
                           const std::vector<telemetry::RunCapture>& captures);
 
-// INT postcards, one JSON line per sampled flow per point:
+// INT postcards, the second exporter of the hop-record stream: one JSON
+// line per sampled flow per point, carrying that flow's records in write
+// order:
 //   {"experiment":"fig15","point":0,"rep":0,"params":{...},
 //    "flow":8589934592,"op":"R-REQ","start_ns":..,"finish_ns":..,
 //    "outcome":"read_cached","hops":[{"hop":"client-2.tx","kind":"client_tx",
-//    "t_ns":..,"latency_ns":..,"queue_depth":..,"recirc":0,"drop":0},...]}
-// Lines appear in slot order, flows in collection (start) order.
+//    "t_ns":..,"latency_ns":..,"queue_depth":..,"recirc":0,"drop":0,
+//    "detail":"read"},...]}
+// "detail" appears only on records that carry one. Lines appear in slot
+// order, flows in open (start) order.
 std::string IntJsonl(const std::vector<MetricsRecord>& records,
                      const std::vector<telemetry::RunCapture>& captures);
 

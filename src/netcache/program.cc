@@ -4,22 +4,11 @@
 
 #include "common/check.h"
 #include "telemetry/counters.h"
-#include "telemetry/int/int.h"
-#include "telemetry/trace.h"
+#include "telemetry/sink.h"
 
 namespace orbit::nc {
 
 using rmt::IngressResult;
-
-namespace {
-inline void Note(rmt::SwitchDevice* dev, const sim::Packet& pkt,
-                 const char* name, const char* detail = nullptr) {
-  telemetry::Tracer* t = dev->tracer();
-  if (t != nullptr && pkt.trace_id != 0)
-    t->Instant(dev->trace_track(), pkt.trace_id, name, dev->sim().now(),
-               detail);
-}
-}  // namespace
 
 NetProgram::NetProgram(rmt::SwitchDevice* device, const NetConfig& config)
     : device_(device),
@@ -217,7 +206,6 @@ IngressResult NetProgram::HandleReadRequest(sim::Packet& pkt) {
   const uint32_t* idxp = lookup_.Lookup(pkt.msg.key);
   if (idxp == nullptr) {
     ++stats_.read_misses;
-    Note(device_, pkt, "lookup_miss");
     // Heavy-hitter detection for uncached keys.
     sketch_.Update(pkt.msg.key);
     if (sketch_.Estimate(pkt.msg.key) >= config_.hot_threshold &&
@@ -225,7 +213,7 @@ IngressResult NetProgram::HandleReadRequest(sim::Packet& pkt) {
       hot_reports_.emplace_back(pkt.msg.key, sketch_.Estimate(pkt.msg.key));
       ++stats_.hot_reports;
     }
-    return IngressResult::ToAddr(pkt.dst);
+    return IngressResult::ToAddr(pkt.dst).Labeled("lookup_miss");
   }
   const uint32_t idx = *idxp;
   if (!pkt.from_recirc) {
@@ -234,8 +222,7 @@ IngressResult NetProgram::HandleReadRequest(sim::Packet& pkt) {
   }
   if (valid_.at(idx) == 0) {
     ++stats_.invalid_to_server;
-    Note(device_, pkt, "lookup_hit", "invalid_bypass");
-    return IngressResult::ToAddr(pkt.dst);
+    return IngressResult::ToAddr(pkt.dst).Labeled("invalid_bypass");
   }
   if (config_.recirc_read_mode) {
     // §2.2 strawman: one pass reads bytes_per_pass() of the value, so a
@@ -246,8 +233,7 @@ IngressResult NetProgram::HandleReadRequest(sim::Packet& pkt) {
         (len + bytes_per_pass() - 1) / std::max(1u, bytes_per_pass());
     if (passes > 1 && pkt.recirc_count + 1 < passes) {
       ++stats_.request_recircs;
-      Note(device_, pkt, "recirc_read_pass");
-      return IngressResult::Recirculate();
+      return IngressResult::Recirculate().Labeled("recirc_read_pass");
     }
   }
   // Serve from switch memory: bounce the request back as a reply.
@@ -261,10 +247,9 @@ IngressResult NetProgram::HandleReadRequest(sim::Packet& pkt) {
   pkt.sport = config_.orbit_port;
   pkt.dport = client_port;
   ++stats_.served_by_cache;
-  if (int_ != nullptr)
-    int_->Record(int_hist_value_, static_cast<int64_t>(pkt.msg.value.size()));
-  Note(device_, pkt, "lookup_hit", "serve");
-  return IngressResult::ToAddr(client);
+  if (sink_ != nullptr)
+    sink_->Record(hist_value_, static_cast<int64_t>(pkt.msg.value.size()));
+  return IngressResult::ToAddr(client).Labeled("serve");
 }
 
 IngressResult NetProgram::HandleWriteRequest(sim::Packet& pkt) {
@@ -294,8 +279,7 @@ IngressResult NetProgram::HandleValueReply(sim::Packet& pkt) {
     // write's own reply is lost). Forward without touching the cache; the
     // entry stays invalid until a current-epoch reply arrives.
     ++stats_.stale_revalidations;
-    Note(device_, pkt, "stale_revalidation_skip");
-    return IngressResult::ToAddr(pkt.dst);
+    return IngressResult::ToAddr(pkt.dst).Labeled("stale_revalidation_skip");
   }
   const std::string bytes = pkt.msg.value.Materialize(pkt.msg.key);
   if (bytes.size() > max_value_bytes()) {
@@ -308,13 +292,12 @@ IngressResult NetProgram::HandleValueReply(sim::Packet& pkt) {
   StoreValue(idx, bytes);
   valid_.at(idx) = 1;
   ++stats_.validations;
-  Note(device_, pkt, "validate");
-  return IngressResult::ToAddr(pkt.dst);
+  return IngressResult::ToAddr(pkt.dst).Labeled("validate");
 }
 
-void NetProgram::OnIntAttached(telemetry::IntSink& sink) {
-  int_ = &sink;
-  int_hist_value_ = sink.Hist("value.bytes", "bytes");
+void NetProgram::OnSinkAttached(telemetry::Sink& sink) {
+  sink_ = &sink;
+  hist_value_ = sink.Hist("value.bytes", "bytes");
 }
 
 void NetProgram::RegisterTelemetry(telemetry::Registry& reg,

@@ -57,8 +57,9 @@ class NetProgram : public rmt::SwitchProgram {
 
   rmt::IngressResult Ingress(sim::Packet& pkt, rmt::SwitchDevice& sw) override;
   std::string program_name() const override { return "netcache"; }
-  // INT: always-on served-value-size histogram (shared "value.bytes").
-  void OnIntAttached(telemetry::IntSink& sink) override;
+  // Telemetry: always-on served-value-size histogram (shared
+  // "value.bytes").
+  void OnSinkAttached(telemetry::Sink& sink) override;
 
   // ---- control plane ------------------------------------------------------
   // Bytes one pipeline pass can read from the value registers.
@@ -159,9 +160,9 @@ class NetProgram : public rmt::SwitchProgram {
   std::unordered_set<Key> reported_;  // bloom-filter stand-in
   std::vector<Key> self_evictions_;
 
-  // INT histogram handles (zero when no sink is attached).
-  telemetry::IntSink* int_ = nullptr;
-  uint32_t int_hist_value_ = 0;
+  // Telemetry histogram handle (unused while no sink is attached).
+  telemetry::Sink* sink_ = nullptr;
+  uint32_t hist_value_ = 0;
 
   bool bypass_ = false;
   Stats stats_;

@@ -12,16 +12,16 @@ class ForwardProgram : public rmt::SwitchProgram {
  public:
   rmt::IngressResult Ingress(sim::Packet& pkt, rmt::SwitchDevice& sw) override;
   std::string program_name() const override { return "nocache"; }
-  // INT: value sizes of forwarded read replies into the shared
+  // Telemetry: value sizes of forwarded read replies into the shared
   // "value.bytes" histogram (the no-cache reference distribution).
-  void OnIntAttached(telemetry::IntSink& sink) override;
+  void OnSinkAttached(telemetry::Sink& sink) override;
 
   uint64_t forwarded() const { return forwarded_; }
 
  private:
   uint64_t forwarded_ = 0;
-  telemetry::IntSink* int_ = nullptr;
-  uint32_t int_hist_value_ = 0;
+  telemetry::Sink* sink_ = nullptr;
+  uint32_t hist_value_ = 0;
 };
 
 }  // namespace orbit::nocache

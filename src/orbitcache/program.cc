@@ -3,25 +3,12 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "telemetry/counters.h"
-#include "telemetry/int/int.h"
-#include "telemetry/trace.h"
+#include "telemetry/sink.h"
 #include "verify/verify.h"
 
 namespace orbit::oc {
 
 using rmt::IngressResult;
-
-namespace {
-// Program-level trace instant for a sampled packet; no-op (one branch)
-// when tracing is off or the packet is unsampled.
-inline void Note(rmt::SwitchDevice* dev, const sim::Packet& pkt,
-                 const char* name, const char* detail = nullptr) {
-  telemetry::Tracer* t = dev->tracer();
-  if (t != nullptr && pkt.trace_id != 0)
-    t->Instant(dev->trace_track(), pkt.trace_id, name, dev->sim().now(),
-               detail);
-}
-}  // namespace
 
 OrbitProgram::OrbitProgram(rmt::SwitchDevice* device, const OrbitConfig& config)
     : device_(device),
@@ -230,8 +217,7 @@ IngressResult OrbitProgram::HandleReadRequest(sim::Packet& pkt) {
   const uint32_t* idxp = lookup_.Lookup(pkt.msg.hkey);
   if (idxp == nullptr) {
     ++stats_.read_misses;
-    Note(device_, pkt, "lookup_miss");
-    return IngressResult::ToAddr(pkt.dst);
+    return IngressResult::ToAddr(pkt.dst).Labeled("lookup_miss");
   }
   const uint32_t idx = *idxp;
   ++stats_.read_hits;
@@ -241,8 +227,7 @@ IngressResult OrbitProgram::HandleReadRequest(sim::Packet& pkt) {
   if (valid_.at(idx) == 0) {
     // Pending write: read from the server to avoid a stale value.
     ++stats_.invalid_to_server;
-    Note(device_, pkt, "lookup_hit", "invalid_bypass");
-    return IngressResult::ToAddr(pkt.dst);
+    return IngressResult::ToAddr(pkt.dst).Labeled("invalid_bypass");
   }
 
   RequestMeta meta;
@@ -250,21 +235,18 @@ IngressResult OrbitProgram::HandleReadRequest(sim::Packet& pkt) {
   meta.l4_port = pkt.sport;
   meta.seq = pkt.msg.seq;
   meta.enqueued_at = device_->sim().now();
-  meta.trace_id = pkt.trace_id;
-  meta.int_id = pkt.int_id;
+  meta.flow = pkt.flow;
   if (request_table_.TryEnqueue(idx, meta)) {
     // Absorbed: a circulating cache packet will answer it (Fig. 4a). Mark
     // the end reason here so the device-level Drop bookkeeping doesn't
     // misclassify the absorption as an unexplained program drop.
     sim::MarkEnd(pkt, sim::PacketEnd::kAbsorbed);
     ++stats_.absorbed;
-    Note(device_, pkt, "lookup_hit", "absorb");
-    return IngressResult::Drop();
+    return IngressResult::Drop().Labeled("absorb");
   }
   overflow_counter_.get()++;
   ++stats_.overflow_to_server;
-  Note(device_, pkt, "lookup_hit", "overflow");
-  return IngressResult::ToAddr(pkt.dst);
+  return IngressResult::ToAddr(pkt.dst).Labeled("overflow");
 }
 
 IngressResult OrbitProgram::HandleWriteRequest(sim::Packet& pkt) {
@@ -275,8 +257,7 @@ IngressResult OrbitProgram::HandleWriteRequest(sim::Packet& pkt) {
   }
   const uint32_t idx = *idxp;
   ++stats_.writes_cached;
-  Note(device_, pkt, "write_cached",
-       config_.write_back ? "write_back" : "write_through");
+  const char* label = config_.write_back ? "write_back" : "write_through";
 
   if (config_.write_back && valid_.at(idx) != 0 &&
       pkt.msg.value.size() <= proto::kMaxPayloadBytes - pkt.msg.key.size()) {
@@ -315,7 +296,7 @@ IngressResult OrbitProgram::HandleWriteRequest(sim::Packet& pkt) {
     pkt.dport = pkt.sport;
     pkt.sport = config_.orbit_port;
     ++stats_.wb_returned_replies;
-    return CloneToAddrAndRecirc(pkt, client);
+    return CloneToAddrAndRecirc(pkt, client).Labeled(label);
   }
 
   // Write-through (§3.3/§3.7): invalidate so reads cannot observe the old
@@ -325,7 +306,7 @@ IngressResult OrbitProgram::HandleWriteRequest(sim::Packet& pkt) {
   fetched_frags_.at(idx) = 0;
   pkt.msg.epoch = epoch_.at(idx);
   pkt.msg.flag |= proto::kFlagCachedWrite;
-  return IngressResult::ToAddr(pkt.dst);
+  return IngressResult::ToAddr(pkt.dst).Labeled(label);
 }
 
 IngressResult OrbitProgram::HandleServerReply(sim::Packet& pkt) {
@@ -339,6 +320,7 @@ IngressResult OrbitProgram::HandleServerReply(sim::Packet& pkt) {
     return IngressResult::ToAddr(pkt.dst);
   }
   const uint32_t idx = *idxp;
+  const char* label = nullptr;
 
   if (config_.epoch_guard && pkt.msg.epoch != epoch_.at(idx)) {
     // A newer write has superseded this reply; do not revalidate with the
@@ -365,7 +347,7 @@ IngressResult OrbitProgram::HandleServerReply(sim::Packet& pkt) {
     }
     valid_.at(idx) = 1;
     ++stats_.validations;
-    Note(device_, pkt, "validate");
+    label = "validate";
   }
   dirty_.at(idx) = 0;  // the server now holds this value
   version_.at(idx) = pkt.msg.value.version();
@@ -376,12 +358,12 @@ IngressResult OrbitProgram::HandleServerReply(sim::Packet& pkt) {
     // waits for the next refetch to regain a packet.
     if (pkt.msg.op == proto::Op::kFetchRep) {
       pkt.msg.op = proto::Op::kReadRep;
-      return IngressResult::Recirculate();
+      return IngressResult::Recirculate().Labeled(label);
     }
-    return IngressResult::ToAddr(pkt.dst);
+    return IngressResult::ToAddr(pkt.dst).Labeled(label);
   }
   // Reply to the requester and mint the cache packet in one pass (Fig. 4d).
-  return CloneToAddrAndRecirc(pkt, pkt.dst);
+  return CloneToAddrAndRecirc(pkt, pkt.dst).Labeled(label);
 }
 
 IngressResult OrbitProgram::HandleCachePacket(sim::Packet& pkt,
@@ -450,14 +432,9 @@ IngressResult OrbitProgram::ServeOrRecirculate(sim::Packet& pkt, uint32_t idx,
 
     // The serving cache packet adopts the absorbed request's identity: the
     // outgoing reply (and its recirculating clone) now belong to that
-    // request's trace.
-    pkt.trace_id = meta->trace_id;
-    pkt.int_id = meta->int_id;
-    if (telemetry::Tracer* t = device_->tracer();
-        t != nullptr && meta->trace_id != 0) {
-      t->Span(device_->trace_track(), meta->trace_id, "cache_wait",
-              meta->enqueued_at, sw.sim().now() - meta->enqueued_at, "serve");
-    }
+    // request's flow.
+    pkt.flow = meta->flow;
+    WriteCacheWait(pkt, *meta);
 
     const Addr server_src = pkt.src;
     pkt.dst = meta->client_addr;
@@ -468,10 +445,9 @@ IngressResult OrbitProgram::ServeOrRecirculate(sim::Packet& pkt, uint32_t idx,
     pkt.msg.latency =
         static_cast<uint32_t>(sw.sim().now() - meta->enqueued_at);
     ++stats_.served_by_cache;
-    if (int_ != nullptr) {
-      int_->Record(int_hist_orbit_, pkt.recirc_count);
-      int_->Record(int_hist_value_,
-                   static_cast<int64_t>(pkt.msg.value.size()));
+    if (sink_ != nullptr) {
+      sink_->Record(hist_orbit_, pkt.recirc_count);
+      sink_->Record(hist_value_, static_cast<int64_t>(pkt.msg.value.size()));
     }
 
     if (!config_.enable_cloning) {
@@ -491,8 +467,7 @@ IngressResult OrbitProgram::ServeOrRecirculate(sim::Packet& pkt, uint32_t idx,
   std::optional<RequestMeta> meta = request_table_.Peek(idx);
   if (!meta) return IngressResult::Recirculate();
 
-  pkt.trace_id = meta->trace_id;
-  pkt.int_id = meta->int_id;
+  pkt.flow = meta->flow;
   pkt.dst = meta->client_addr;
   pkt.dport = meta->l4_port;
   pkt.sport = config_.orbit_port;
@@ -506,26 +481,34 @@ IngressResult OrbitProgram::ServeOrRecirculate(sim::Packet& pkt, uint32_t idx,
     request_table_.TryDequeue(idx);
     acked = 0;
     ++stats_.served_by_cache;
-    if (int_ != nullptr) {
-      int_->Record(int_hist_orbit_, pkt.recirc_count);
-      int_->Record(int_hist_value_,
-                   static_cast<int64_t>(pkt.msg.value.size()));
+    if (sink_ != nullptr) {
+      sink_->Record(hist_orbit_, pkt.recirc_count);
+      sink_->Record(hist_value_, static_cast<int64_t>(pkt.msg.value.size()));
     }
-    if (telemetry::Tracer* t = device_->tracer();
-        t != nullptr && meta->trace_id != 0) {
-      t->Span(device_->trace_track(), meta->trace_id, "cache_wait",
-              meta->enqueued_at, sw.sim().now() - meta->enqueued_at, "serve");
-    }
+    WriteCacheWait(pkt, *meta);
   }
   return CloneToAddrAndRecirc(pkt, meta->client_addr);
 }
 
-void OrbitProgram::OnIntAttached(telemetry::IntSink& sink) {
-  int_ = &sink;
+void OrbitProgram::OnSinkAttached(telemetry::Sink& sink) {
+  sink_ = &sink;
+  site_wait_ = sink.Site(device_->name() + ".request_table");
   // Orbits a cache packet completed before serving this request; shared
   // value-size histogram aggregates with server-served replies.
-  int_hist_orbit_ = sink.Hist("orbit.count", "orbits");
-  int_hist_value_ = sink.Hist("value.bytes", "bytes");
+  hist_orbit_ = sink.Hist("orbit.count", "orbits");
+  hist_value_ = sink.Hist("value.bytes", "bytes");
+}
+
+void OrbitProgram::WriteCacheWait(const sim::Packet& pkt,
+                                  const RequestMeta& meta) {
+  if (sink_ == nullptr || meta.flow == 0) return;
+  const SimTime now = device_->sim().now();
+  sink_->Write({.at = now,
+                .dur = now - meta.enqueued_at,
+                .flow = meta.flow,
+                .site = site_wait_,
+                .recirc = pkt.recirc_count,
+                .kind = telemetry::HopKind::kCacheWait});
 }
 
 void OrbitProgram::RegisterTelemetry(telemetry::Registry& reg,

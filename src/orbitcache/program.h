@@ -76,8 +76,9 @@ class OrbitProgram : public rmt::SwitchProgram {
   // ---- data plane --------------------------------------------------------
   rmt::IngressResult Ingress(sim::Packet& pkt, rmt::SwitchDevice& sw) override;
   std::string program_name() const override { return "orbitcache"; }
-  // INT: always-on orbit-count-per-serve and served-value-size histograms.
-  void OnIntAttached(telemetry::IntSink& sink) override;
+  // Telemetry: the request-table site (cache_wait records) plus always-on
+  // orbit-count-per-serve and served-value-size histograms.
+  void OnSinkAttached(telemetry::Sink& sink) override;
 
   // ---- control plane (controller-facing) ---------------------------------
   // Binds a cache index to a key hash. Pending requests of a previously
@@ -181,8 +182,8 @@ class OrbitProgram : public rmt::SwitchProgram {
   void ResetStats() { stats_ = Stats{}; }
 
   // Registers orbit.* outcome counters plus per-table / per-stage register
-  // access counters ("rmt.s<stage>.<name>.*") against `reg`. Trace spans
-  // use the tracer attached to the owning device (SwitchDevice::SetTracer).
+  // access counters ("rmt.s<stage>.<name>.*") against `reg`. Hop records
+  // go to the sink attached to the owning device (SwitchDevice::SetSink).
   void RegisterTelemetry(telemetry::Registry& reg,
                          const std::string& prefix = "");
 
@@ -199,6 +200,8 @@ class OrbitProgram : public rmt::SwitchProgram {
   rmt::IngressResult ServeOrRecirculate(sim::Packet& pkt, uint32_t idx,
                                         rmt::SwitchDevice& sw);
   rmt::IngressResult CloneToAddrAndRecirc(sim::Packet& pkt, Addr addr);
+  // Closes a sampled request's request-table wait as `pkt` serves it.
+  void WriteCacheWait(const sim::Packet& pkt, const RequestMeta& meta);
 
   rmt::SwitchDevice* device_;
   OrbitConfig config_;
@@ -229,10 +232,11 @@ class OrbitProgram : public rmt::SwitchProgram {
   Stats stats_;
   verify::Verifier* verifier_ = nullptr;  // not owned; null = no checks
 
-  // INT histogram handles (zero when no sink is attached).
-  telemetry::IntSink* int_ = nullptr;
-  uint32_t int_hist_orbit_ = 0;
-  uint32_t int_hist_value_ = 0;
+  // Telemetry handles (unused while no sink is attached).
+  telemetry::Sink* sink_ = nullptr;
+  uint32_t site_wait_ = 0;
+  uint32_t hist_orbit_ = 0;
+  uint32_t hist_value_ = 0;
 };
 
 }  // namespace orbit::oc

@@ -5,9 +5,8 @@
 #include "common/check.h"
 #include "common/logging.h"
 #include "telemetry/counters.h"
-#include "telemetry/int/flight.h"
-#include "telemetry/int/int.h"
-#include "telemetry/trace.h"
+#include "telemetry/flight.h"
+#include "telemetry/sink.h"
 
 namespace orbit::rmt {
 
@@ -39,22 +38,14 @@ void SwitchDevice::SetProgram(SwitchProgram* program) {
 
 void SwitchDevice::AddRoute(Addr addr, int port) { routes_[addr] = port; }
 
-void SwitchDevice::SetTracer(telemetry::Tracer* tracer) {
-  tracer_ = tracer;
-  if (tracer_ != nullptr) {
-    track_pipe_ = tracer_->RegisterTrack(name_);
-    track_recirc_ = tracer_->RegisterTrack(name_ + ".recirc");
-  }
-}
-
-void SwitchDevice::SetIntSink(telemetry::IntSink* sink) {
-  int_ = sink;
-  if (int_ == nullptr) return;
-  int_hop_pipe_ = int_->Hop(name_ + ".pipeline");
-  int_hop_recirc_ = int_->Hop(name_ + ".recirc");
-  int_hist_pipe_ = int_->Hist("hop.pipeline.ns", "ns");
-  int_hist_recirc_ = int_->Hist("hop.recirc.ns", "ns");
-  if (program_ != nullptr) program_->OnIntAttached(*int_);
+void SwitchDevice::SetSink(telemetry::Sink* sink) {
+  sink_ = sink;
+  if (sink_ == nullptr) return;
+  site_pipe_ = sink_->Site(name_ + ".pipeline");
+  site_recirc_ = sink_->Site(name_ + ".recirc");
+  hist_pipe_ = sink_->Hist("hop.pipeline.ns", "ns");
+  hist_recirc_ = sink_->Hist("hop.recirc.ns", "ns");
+  if (program_ != nullptr) program_->OnSinkAttached(*sink_);
 }
 
 void SwitchDevice::SetFlightRecorder(telemetry::FlightRecorder* recorder) {
@@ -132,9 +123,15 @@ void SwitchDevice::OnPacket(sim::PacketPtr pkt, int port) {
       // exists (the gauge was zeroed by FlushRecirculation).
       ++stats_.recirc_flushed;
       sim::MarkEnd(*pkt, sim::PacketEnd::kFlushedAtReset);
-      if (tracer_ != nullptr && pkt->trace_id != 0)
-        tracer_->Instant(track_recirc_, pkt->trace_id, "recirc_flushed",
-                         sim_->now());
+      if (sink_ != nullptr && pkt->flow != 0) {
+        sink_->Write({.at = sim_->now(),
+                      .flow = pkt->flow,
+                      .site = site_recirc_,
+                      .recirc = pkt->recirc_count,
+                      .kind = telemetry::HopKind::kDrop,
+                      .drop = static_cast<uint8_t>(
+                          1 + static_cast<int>(sim::DropReason::kSwitchReset))});
+      }
       return;
     }
     pkt->from_recirc = true;
@@ -157,30 +154,29 @@ void SwitchDevice::OnPacket(sim::PacketPtr pkt, int port) {
 void SwitchDevice::Apply(const IngressResult& result, sim::PacketPtr pkt,
                          SimTime pipe_delay) {
   using Action = IngressResult::Action;
-  if (tracer_ != nullptr && pkt->trace_id != 0) {
-    // One span per traversal: queue-behind-the-pipe wait plus the fixed
-    // match-action latency, labeled with the action the program chose.
-    tracer_->Span(track_pipe_, pkt->trace_id, "pipeline", sim_->now(),
-                  pipe_delay, ActionName(result.action));
-  }
   if (flight_ != nullptr) {
     flight_->Note(flight_comp_, sim_->now(), ActionName(result.action),
                   static_cast<uint64_t>(pkt->msg.op), pkt->msg.seq);
   }
-  if (int_ != nullptr) {
-    int_->Record(int_hist_pipe_, pipe_delay);
-    if (pkt->int_id != 0) {
+  if (sink_ != nullptr) {
+    sink_->Record(hist_pipe_, pipe_delay);
+    if (pkt->flow != 0) {
+      // One record per traversal: queue-behind-the-pipe wait plus the
+      // fixed match-action latency, labeled with the program's decision
+      // (or the action it chose).
       const SimTime queue_wait =
           pipe_delay -
           static_cast<SimTime>(resources_.config().pipeline_latency_ns);
-      telemetry::IntHop hop;
-      hop.at = sim_->now();
-      hop.hop = int_hop_pipe_;
-      hop.kind = telemetry::IntHopKind::kPipeline;
-      hop.latency_ns = pipe_delay;
-      hop.queue_depth = queue_wait;
-      hop.recirc_count = pkt->recirc_count;
-      int_->Stamp(pkt->int_id, hop);
+      sink_->Write({.at = sim_->now(),
+                    .dur = pipe_delay,
+                    .value = queue_wait,
+                    .detail = result.label != nullptr
+                                  ? result.label
+                                  : ActionName(result.action),
+                    .flow = pkt->flow,
+                    .site = site_pipe_,
+                    .recirc = pkt->recirc_count,
+                    .kind = telemetry::HopKind::kPipeline});
     }
   }
   switch (result.action) {
@@ -254,19 +250,15 @@ void SwitchDevice::Recirculate(sim::PacketPtr pkt, SimTime pipe_delay) {
   if (backlog_bytes + bytes > cfg.recirc_queue_bytes) {
     ++stats_.recirc_drops;
     sim::MarkEnd(*pkt, sim::PacketEnd::kDroppedRecirc);
-    if (tracer_ != nullptr && pkt->trace_id != 0)
-      tracer_->Instant(track_recirc_, pkt->trace_id, "recirc_overflow",
-                       sim_->now(), nullptr, bytes);
-    if (int_ != nullptr && pkt->int_id != 0) {
-      telemetry::IntHop hop;
-      hop.at = sim_->now();
-      hop.hop = int_hop_recirc_;
-      hop.kind = telemetry::IntHopKind::kDrop;
-      hop.queue_depth = static_cast<int64_t>(backlog_bytes);
-      hop.recirc_count = pkt->recirc_count;
-      hop.drop_reason = static_cast<uint8_t>(
-          1 + static_cast<int>(sim::DropReason::kQueueOverflow));
-      int_->Stamp(pkt->int_id, hop);
+    if (sink_ != nullptr && pkt->flow != 0) {
+      sink_->Write({.at = sim_->now(),
+                    .value = static_cast<int64_t>(backlog_bytes),
+                    .flow = pkt->flow,
+                    .site = site_recirc_,
+                    .recirc = pkt->recirc_count,
+                    .kind = telemetry::HopKind::kDrop,
+                    .drop = static_cast<uint8_t>(
+                        1 + static_cast<int>(sim::DropReason::kQueueOverflow))});
     }
     return;
   }
@@ -284,34 +276,28 @@ void SwitchDevice::Recirculate(sim::PacketPtr pkt, SimTime pipe_delay) {
   pkt->recirc_count++;
   pkt->recirc_generation = recirc_generation_;
   const SimTime loop = static_cast<SimTime>(cfg.recirc_loop_ns);
-  if (tracer_ != nullptr && pkt->trace_id != 0) {
-    tracer_->Span(track_recirc_, pkt->trace_id, "recirc", sim_->now(),
-                  done + loop - sim_->now(), nullptr, bytes);
-  }
-  if (int_ != nullptr) {
+  if (sink_ != nullptr) {
     const SimTime orbit_ns = done + loop - sim_->now();
-    int_->Record(int_hist_recirc_, orbit_ns);
-    if (pkt->int_id != 0) {
-      telemetry::IntHop hop;
-      hop.at = sim_->now();
-      hop.hop = int_hop_recirc_;
-      hop.kind = telemetry::IntHopKind::kRecirc;
-      hop.latency_ns = orbit_ns;
-      hop.queue_depth = static_cast<int64_t>(backlog_bytes);
-      hop.recirc_count = pkt->recirc_count;
-      int_->Stamp(pkt->int_id, hop);
+    sink_->Record(hist_recirc_, orbit_ns);
+    if (pkt->flow != 0) {
+      sink_->Write({.at = sim_->now(),
+                    .dur = orbit_ns,
+                    .value = static_cast<int64_t>(backlog_bytes),
+                    .flow = pkt->flow,
+                    .site = site_recirc_,
+                    .recirc = pkt->recirc_count,
+                    .kind = telemetry::HopKind::kRecirc});
     }
   }
   // A reply entering the loop is a cache packet beginning its orbit: it
-  // will recirculate for the rest of the run. Trace/stamp the first pass,
-  // then detach the ids so a sampled request doesn't record forever.
-  // Requests (NetCache's recirculating reads) keep them across passes.
+  // will recirculate for the rest of the run. Record the first pass, then
+  // detach the flow so a sampled request doesn't record forever. Requests
+  // (NetCache's recirculating reads) keep it across passes.
   switch (pkt->msg.op) {
     case proto::Op::kReadRep:
     case proto::Op::kWriteRep:
     case proto::Op::kFetchRep:
-      pkt->trace_id = 0;
-      pkt->int_id = 0;
+      pkt->flow = 0;
       break;
     default:
       break;

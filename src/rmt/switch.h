@@ -29,9 +29,8 @@
 
 namespace orbit::telemetry {
 class FlightRecorder;
-class IntSink;
 class Registry;
-class Tracer;
+class Sink;
 }  // namespace orbit::telemetry
 
 namespace orbit::rmt {
@@ -49,6 +48,10 @@ struct IngressResult {
   int port = -1;
   Addr addr = kInvalidAddr;
   int mcast_group = 0;
+  // The program's name for this pass (a static literal such as "absorb");
+  // the pass's telemetry pipeline record carries it instead of the action
+  // name. Null = unlabeled.
+  const char* label = nullptr;
 
   static IngressResult ToPort(int p) {
     return {Action::kForwardPort, p, kInvalidAddr, 0};
@@ -63,6 +66,11 @@ struct IngressResult {
   static IngressResult Recirculate() {
     return {Action::kRecirculate, -1, kInvalidAddr, 0};
   }
+  IngressResult Labeled(const char* pass_label) const {
+    IngressResult r = *this;
+    r.label = pass_label;
+    return r;
+  }
 };
 
 class SwitchDevice;
@@ -74,10 +82,11 @@ class SwitchProgram {
   virtual ~SwitchProgram() = default;
   virtual IngressResult Ingress(sim::Packet& pkt, SwitchDevice& sw) = 0;
   virtual std::string program_name() const = 0;
-  // Called when an IntSink is attached to the hosting device; programs
-  // intern their program-level always-on histograms here (orbit count per
-  // cached key, served value sizes). Default: no instrumentation.
-  virtual void OnIntAttached(telemetry::IntSink& sink) { (void)sink; }
+  // Called when a telemetry sink is attached to the hosting device;
+  // programs intern their sites and program-level always-on histograms
+  // here (orbit count per cached key, served value sizes). Default: no
+  // instrumentation.
+  virtual void OnSinkAttached(telemetry::Sink& sink) { (void)sink; }
 };
 
 class SwitchDevice : public sim::Node {
@@ -133,25 +142,16 @@ class SwitchDevice : public sim::Node {
   const Stats& stats() const { return stats_; }
 
   // --- Telemetry (optional; near-zero cost when unset) ---------------------
-  // Attaches a request tracer. The device registers two tracks ("tor" for
-  // pipeline traversals, "tor.recirc" for recirculation passes) and emits
-  // spans only for packets whose trace_id is non-zero.
-  void SetTracer(telemetry::Tracer* tracer);
-  telemetry::Tracer* tracer() const { return tracer_; }
-  // Track for program-level instants (lookup hit/miss etc.) — the pipeline
-  // track, so program events interleave with traversal spans.
-  int trace_track() const { return track_pipe_; }
+  // Attaches the run's telemetry sink: interns this device's pipeline and
+  // recirculation sites and the shared hop-class latency histograms, then
+  // forwards to the program's OnSinkAttached. Call after SetProgram.
+  void SetSink(telemetry::Sink* sink);
   // Registers switch.* counters and gauges against `reg`. Reads existing
   // Stats fields; nothing is consumed from the Resources ledger. `prefix`
   // scopes the names for multi-switch runs (e.g. "leaf0." -> counters like
   // "leaf0.switch.rx_packets"); the default keeps single-switch names.
   void RegisterTelemetry(telemetry::Registry& reg,
                          const std::string& prefix = "");
-  // INT attachment: interns this device's pipeline/recirc hop names and
-  // the shared hop-class latency histograms, then forwards to the
-  // program's OnIntAttached. Call after SetProgram.
-  void SetIntSink(telemetry::IntSink* sink);
-  telemetry::IntSink* int_sink() const { return int_; }
   // Flight recorder: one ring per device noting every ingress decision.
   void SetFlightRecorder(telemetry::FlightRecorder* recorder);
 
@@ -178,15 +178,12 @@ class SwitchDevice : public sim::Node {
   SimTime recirc_busy_until_ = 0;
   uint32_t recirc_generation_ = 0;
 
-  // Telemetry sinks (not owned; may be null).
-  telemetry::Tracer* tracer_ = nullptr;
-  int track_pipe_ = -1;
-  int track_recirc_ = -1;
-  telemetry::IntSink* int_ = nullptr;
-  uint32_t int_hop_pipe_ = 0;
-  uint32_t int_hop_recirc_ = 0;
-  uint32_t int_hist_pipe_ = 0;
-  uint32_t int_hist_recirc_ = 0;
+  // Telemetry (not owned; may be null).
+  telemetry::Sink* sink_ = nullptr;
+  uint32_t site_pipe_ = 0;
+  uint32_t site_recirc_ = 0;
+  uint32_t hist_pipe_ = 0;
+  uint32_t hist_recirc_ = 0;
   telemetry::FlightRecorder* flight_ = nullptr;
   uint32_t flight_comp_ = 0;
 

@@ -46,16 +46,25 @@ bool Link::LossCoin() {
   return lost;
 }
 
-void Link::StampDrop(const Channel& ch, const Packet& pkt,
+const char* DropReasonName(DropReason reason) {
+  switch (reason) {
+    case DropReason::kQueueOverflow: return "queue_overflow";
+    case DropReason::kInjectedLoss: return "injected_loss";
+    case DropReason::kLinkDown: return "link_down";
+    case DropReason::kSwitchReset: return "switch_reset";
+  }
+  return "?";
+}
+
+void Link::WriteDrop(const Channel& ch, const Packet& pkt,
                      DropReason reason) const {
-  if (int_ == nullptr || pkt.int_id == 0) return;
-  telemetry::IntHop hop;
-  hop.at = sim_->now();
-  hop.hop = ch.int_hop;
-  hop.kind = telemetry::IntHopKind::kDrop;
-  hop.recirc_count = pkt.recirc_count;
-  hop.drop_reason = static_cast<uint8_t>(1 + static_cast<int>(reason));
-  int_->Stamp(pkt.int_id, hop);
+  if (sink_ == nullptr || pkt.flow == 0) return;
+  sink_->Write({.at = sim_->now(),
+                .flow = pkt.flow,
+                .site = ch.site,
+                .recirc = pkt.recirc_count,
+                .kind = telemetry::HopKind::kDrop,
+                .drop = static_cast<uint8_t>(1 + static_cast<int>(reason))});
 }
 
 void Link::Send(int from, PacketPtr pkt, SimTime extra_delay) {
@@ -64,10 +73,7 @@ void Link::Send(int from, PacketPtr pkt, SimTime extra_delay) {
   if (down_) {
     ++ch.stats.down_drops;
     MarkEnd(*pkt, PacketEnd::kDroppedLink);
-    StampDrop(ch, *pkt, DropReason::kLinkDown);
-    if (drop_tap_ != nullptr && *drop_tap_)
-      (*drop_tap_)(*pkt, chans_[1 - from].to, ch.to, DropReason::kLinkDown,
-                   sim_->now());
+    WriteDrop(ch, *pkt, DropReason::kLinkDown);
     return;
   }
   // The per-direction degrade coin composes with the link-wide loss
@@ -80,10 +86,7 @@ void Link::Send(int from, PacketPtr pkt, SimTime extra_delay) {
   if (lost) {
     ++ch.stats.lost;
     MarkEnd(*pkt, PacketEnd::kDroppedLink);
-    StampDrop(ch, *pkt, DropReason::kInjectedLoss);
-    if (drop_tap_ != nullptr && *drop_tap_)
-      (*drop_tap_)(*pkt, chans_[1 - from].to, ch.to, DropReason::kInjectedLoss,
-                   sim_->now());
+    WriteDrop(ch, *pkt, DropReason::kInjectedLoss);
     return;
   }
   const uint32_t bytes = pkt->wire_bytes();
@@ -97,10 +100,7 @@ void Link::Send(int from, PacketPtr pkt, SimTime extra_delay) {
   if (backlog_bytes + bytes > config_.queue_limit_bytes) {
     ++ch.stats.drops;
     MarkEnd(*pkt, PacketEnd::kDroppedLink);
-    StampDrop(ch, *pkt, DropReason::kQueueOverflow);
-    if (drop_tap_ != nullptr && *drop_tap_)
-      (*drop_tap_)(*pkt, chans_[1 - from].to, ch.to,
-                   DropReason::kQueueOverflow, sim_->now());
+    WriteDrop(ch, *pkt, DropReason::kQueueOverflow);
     return;  // drop-tail: packet ownership ends here
   }
 
@@ -110,28 +110,24 @@ void Link::Send(int from, PacketPtr pkt, SimTime extra_delay) {
   ch.stats.packets++;
   ch.stats.bytes += bytes;
 
-  if (int_ != nullptr) {
+  if (sink_ != nullptr) {
     // Hop latency = queue wait + serialization + propagation; the
-    // sender's extra_delay is its own processing, stamped by that hop.
+    // sender's extra_delay is its own processing, recorded by that hop.
     const SimTime hop_latency = (done - ready) + config_.propagation;
-    if (int_latency_hist_ != nullptr) {
-      ch.int_queue_hist->RecordFast(static_cast<int64_t>(backlog_bytes));
-      int_latency_hist_->RecordFast(hop_latency);
+    if (latency_hist_ != nullptr) {
+      ch.queue_hist->RecordFast(static_cast<int64_t>(backlog_bytes));
+      latency_hist_->RecordFast(hop_latency);
     }
-    if (pkt->int_id != 0) {
-      telemetry::IntHop hop;
-      hop.at = sim_->now();
-      hop.hop = ch.int_hop;
-      hop.kind = telemetry::IntHopKind::kLink;
-      hop.latency_ns = hop_latency;
-      hop.queue_depth = static_cast<int64_t>(backlog_bytes);
-      hop.recirc_count = pkt->recirc_count;
-      int_->Stamp(pkt->int_id, hop);
+    if (pkt->flow != 0) {
+      sink_->Write({.at = sim_->now(),
+                    .dur = hop_latency,
+                    .value = static_cast<int64_t>(backlog_bytes),
+                    .flow = pkt->flow,
+                    .site = ch.site,
+                    .recirc = pkt->recirc_count,
+                    .kind = telemetry::HopKind::kLink});
     }
   }
-
-  if (tap_ != nullptr && *tap_)
-    (*tap_)(*pkt, chans_[1 - from].to, ch.to, sim_->now());
 
   // The packet lands at the far end after propagation (plus any injected
   // gray-link latency for this direction).

@@ -15,8 +15,7 @@
 #include "common/random.h"
 #include "common/types.h"
 #include "sim/packet.h"
-#include "sim/trace.h"
-#include "telemetry/int/int.h"
+#include "telemetry/sink.h"
 
 namespace orbit::sim {
 
@@ -52,6 +51,17 @@ struct LinkConfig {
   // Bursty (correlated) loss; composes with loss_rate (either can drop).
   GilbertElliottConfig burst_loss;
 };
+
+// Why a packet died before its next hop. Links drop for the first three
+// (counted in ChannelStats); the last is the switch losing packets that
+// were in its recirculation loop at a reboot barrier.
+enum class DropReason : uint8_t {
+  kQueueOverflow,  // egress / recirculation / server admission queue full
+  kInjectedLoss,   // LinkConfig loss_rate / burst_loss / degrade coin
+  kLinkDown,       // fault injection took the link down
+  kSwitchReset,    // in the recirculation loop when the ASIC rebooted
+};
+const char* DropReasonName(DropReason reason);
 
 struct ChannelStats {
   uint64_t packets = 0;
@@ -96,27 +106,20 @@ class Link {
     return chans_[from].degrade_loss > 0 || chans_[from].degrade_latency > 0;
   }
 
-  // Port-mirroring tap (owned by the Network); observes packets that were
-  // actually committed to the wire.
-  void set_tap(const TapFn* tap) { tap_ = tap; }
-  // Drop tap (owned by the Network); observes packets discarded at this
-  // link — queue overflow and injected loss — which the commit tap misses.
-  void set_drop_tap(const DropTapFn* tap) { drop_tap_ = tap; }
-
-  // INT attachment for direction `from` (0 = a->b, 1 = b->a): `hop` is
-  // the interned per-direction hop name, `queue_hist` the always-on
+  // Telemetry attachment for direction `from` (0 = a->b, 1 = b->a):
+  // `site` is the direction's interned site, `queue_hist` its always-on
   // queue-depth histogram, `latency_hist` the shared link hop-class
   // latency histogram. Observational only — Send's drop/queue decisions
-  // are unchanged. See telemetry::AttachLinkInt for the naming policy.
-  void AttachInt(telemetry::IntSink* sink, uint32_t latency_hist, int from,
-                 uint32_t hop, uint32_t queue_hist) {
-    int_ = sink;
+  // are unchanged. See telemetry::AttachLinkSink for the naming policy.
+  void AttachSink(telemetry::Sink* sink, uint32_t latency_hist, int from,
+                  uint32_t site, uint32_t queue_hist) {
+    sink_ = sink;
     // Resolve histogram pointers once here: Send records per packet, so
     // it branches on one pointer instead of re-checking the sink's flag
     // and re-indexing its table every time.
-    int_latency_hist_ = sink->MutableHist(latency_hist);
-    chans_[from].int_hop = hop;
-    chans_[from].int_queue_hist = sink->MutableHist(queue_hist);
+    latency_hist_ = sink->MutableHist(latency_hist);
+    chans_[from].site = site;
+    chans_[from].queue_hist = sink->MutableHist(queue_hist);
   }
 
  private:
@@ -125,9 +128,9 @@ class Link {
     int to_port = -1;
     SimTime busy_until = 0;
     ChannelStats stats;
-    uint32_t int_hop = 0;  // interned hop name for this direction
+    uint32_t site = 0;  // telemetry site of this direction
     // Always-on queue-depth histogram; nullptr when histograms are off.
-    stats::Histogram* int_queue_hist = nullptr;
+    stats::Histogram* queue_hist = nullptr;
     // Gray-link degrade state for this direction (see SetDegrade).
     double degrade_loss = 0.0;
     SimTime degrade_latency = 0;
@@ -135,7 +138,9 @@ class Link {
 
   SimTime TxTime(uint32_t bytes) const;
   bool LossCoin();
-  void StampDrop(const Channel& ch, const Packet& pkt,
+  // Counts nothing (callers bump ChannelStats); writes the drop record
+  // of a sampled packet.
+  void WriteDrop(const Channel& ch, const Packet& pkt,
                  DropReason reason) const;
 
   Simulator* sim_;
@@ -144,10 +149,8 @@ class Link {
   Rng loss_rng_;
   bool down_ = false;
   bool in_bad_state_ = false;
-  const TapFn* tap_ = nullptr;
-  const DropTapFn* drop_tap_ = nullptr;
-  telemetry::IntSink* int_ = nullptr;
-  stats::Histogram* int_latency_hist_ = nullptr;
+  telemetry::Sink* sink_ = nullptr;  // not owned; null = uninstrumented
+  stats::Histogram* latency_hist_ = nullptr;
 };
 
 }  // namespace orbit::sim

@@ -35,17 +35,8 @@ class Network {
   // by this index, which is stable for a deterministic build order).
   size_t num_links() const { return links_.size(); }
   const Link* link(size_t i) const { return links_[i].get(); }
-  // Non-const access for attach-time instrumentation (INT hop ids).
+  // Non-const access for attach-time instrumentation (telemetry sites).
   Link* mutable_link(size_t i) { return links_[i].get(); }
-
-  // Installs a fabric-wide packet tap (port mirroring); applies to links
-  // created before and after the call. Pass {} to remove.
-  void SetTap(TapFn tap);
-
-  // Installs a fabric-wide drop tap: fires for packets discarded at a link
-  // (queue overflow, injected loss) that the commit tap never sees. Same
-  // lifetime rules as SetTap. Pass {} to remove.
-  void SetDropTap(DropTapFn tap);
 
  private:
   struct PortSlot {
@@ -56,8 +47,6 @@ class Network {
   Simulator* sim_;
   std::vector<std::unique_ptr<Link>> links_;
   std::unordered_map<Node*, std::vector<PortSlot>> ports_;
-  TapFn tap_;
-  DropTapFn drop_tap_;
 };
 
 }  // namespace orbit::sim

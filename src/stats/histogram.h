@@ -14,8 +14,8 @@ namespace orbit::stats {
 
 class Histogram {
  public:
-  // Inline and branch-light: the INT layer records into these for every
-  // packet on the link hot path, unsampled.
+  // Inline and branch-light: the telemetry sink records into these for
+  // every packet on the link hot path, unsampled.
   void Record(int64_t value) {
     ++buckets_[static_cast<size_t>(BucketFor(value))];
     if (count_ == 0) {
@@ -27,7 +27,7 @@ class Histogram {
     ++count_;
     sum_ += value;
   }
-  // Bare-minimum record for per-packet always-on use (the INT layer):
+  // Bare-minimum record for per-packet always-on use (telemetry::Sink):
   // one bucket increment, nothing else. count/min/max/mean must be
   // reconstructed with FinalizeFromBuckets before reading — they come
   // back at bucket resolution (≤1.6%) instead of exact, the HdrHistogram

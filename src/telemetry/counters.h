@@ -12,14 +12,9 @@
 // Counters are monotonic over a run; gauges are point-in-time readings
 // (queue depths, in-flight packets). The distinction matters downstream:
 // time-series consumers difference counters and plot gauges directly.
-//
-// For event sources with no natural owner (link drop taps), OwnCounter
-// allocates registry-owned storage with pointer stability, usable as a
-// bump target from callbacks.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -28,8 +23,7 @@
 
 #include "common/check.h"
 #include "common/types.h"
-#include "telemetry/int/int.h"
-#include "telemetry/trace.h"
+#include "telemetry/sink.h"
 
 namespace orbit::telemetry {
 
@@ -57,15 +51,6 @@ class Registry {
   void AddGauge(std::string name, Source read, std::string registrant = {}) {
     Claim("gauge", name, std::move(registrant));
     gauges_.emplace_back(std::move(name), std::move(read));
-  }
-
-  // Registry-owned monotonic counter: returns a stable bump target and
-  // registers it under `name`.
-  uint64_t* OwnCounter(std::string name, std::string registrant = {}) {
-    owned_.push_back(0);
-    uint64_t* slot = &owned_.back();
-    AddCounter(std::move(name), [slot] { return *slot; }, std::move(registrant));
-    return slot;
   }
 
   size_t num_counters() const { return counters_.size(); }
@@ -101,7 +86,6 @@ class Registry {
 
   std::vector<std::pair<std::string, Source>> counters_;
   std::vector<std::pair<std::string, Source>> gauges_;
-  std::deque<uint64_t> owned_;  // deque: stable addresses for bump targets
   // kind-qualified name -> registrant, for duplicate diagnostics.
   std::unordered_map<std::string, std::string> owners_;
 };
@@ -109,22 +93,12 @@ class Registry {
 // Everything one instrumented testbed run captured; owned by the caller
 // (harness runner slot or test) and filled by RunTestbed.
 struct RunCapture {
-  std::vector<std::string> tracks;    // trace track names, id = index
-  std::vector<TraceEvent> events;     // causally ordered trace events
-  std::vector<Snapshot> snapshots;    // periodic + final registry samples
-  IntCapture int_capture;             // INT postcards + histogram snapshots
-  std::string flight_dump;            // flight-recorder text; "" = no dumps
+  std::vector<Snapshot> snapshots;  // periodic + final registry samples
+  StreamCapture stream;             // hop records + histogram snapshots
+  std::string flight_dump;          // flight-recorder text; "" = no dumps
 
   bool empty() const {
-    return events.empty() && snapshots.empty() && int_capture.empty() &&
-           flight_dump.empty();
-  }
-  void Clear() {
-    tracks.clear();
-    events.clear();
-    snapshots.clear();
-    int_capture.Clear();
-    flight_dump.clear();
+    return snapshots.empty() && stream.empty() && flight_dump.empty();
   }
 };
 

@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "sim/link.h"
+
 namespace orbit::telemetry {
 
 namespace {
@@ -66,43 +68,67 @@ std::string ChromeTraceJson(const std::vector<LabeledCapture>& processes) {
     const auto& [label, cap] = processes[pid];
     if (cap == nullptr) continue;
     AppendMeta(&out, static_cast<int>(pid), -1, "process_name", label, &first);
-    for (size_t tid = 0; tid < cap->tracks.size(); ++tid)
+    for (size_t tid = 0; tid < cap->sites.size(); ++tid)
       AppendMeta(&out, static_cast<int>(pid), static_cast<int>(tid),
-                 "thread_name", cap->tracks[tid], &first);
-    for (const TraceEvent& ev : cap->events) {
+                 "thread_name", cap->sites[tid], &first);
+    for (const HopRecord& rec : cap->records) {
       if (!first) out += ",\n";
       first = false;
       char head[64];
-      std::snprintf(head, sizeof(head), R"({"ph":"%s","pid":%d,"tid":%d,)",
-                    ev.dur > 0 ? "X" : "i", static_cast<int>(pid), ev.track);
+      std::snprintf(head, sizeof(head), R"({"ph":"%s","pid":%d,"tid":%u,)",
+                    rec.dur > 0 ? "X" : "i", static_cast<int>(pid), rec.site);
       out += head;
       out += "\"ts\":";
-      AppendMicros(&out, ev.ts);
-      if (ev.dur > 0) {
+      AppendMicros(&out, HopKindCloses(rec.kind) ? rec.at - rec.dur : rec.at);
+      if (rec.dur > 0) {
         out += ",\"dur\":";
-        AppendMicros(&out, ev.dur);
+        AppendMicros(&out, rec.dur);
       } else {
         out += ",\"s\":\"t\"";  // instant scope: thread
       }
       out += ",\"name\":\"";
-      out += ev.name;
-      if (ev.detail != nullptr) {
+      out += HopKindName(rec.kind);
+      if (rec.detail != nullptr) {
         out += ':';
-        out += ev.detail;
+        out += rec.detail;
       }
-      out += "\",\"cat\":\"telemetry\",\"args\":{\"trace_id\":";
-      char num[32];
-      std::snprintf(num, sizeof(num), "%" PRIu64, ev.trace_id);
+      const uint64_t flow_id =
+          rec.flow != 0 ? cap->flows[rec.flow - 1].id : 0;
+      out += "\",\"cat\":\"telemetry\",\"args\":{\"flow\":";
+      char num[48];
+      std::snprintf(num, sizeof(num), "%" PRIu64, flow_id);
       out += num;
-      if (ev.value != 0) {
-        std::snprintf(num, sizeof(num), ",\"value\":%" PRIu64, ev.value);
+      if (rec.value != 0) {
+        std::snprintf(num, sizeof(num), ",\"value\":%" PRId64, rec.value);
         out += num;
+      }
+      if (rec.recirc != 0) {
+        std::snprintf(num, sizeof(num), ",\"recirc\":%u", rec.recirc);
+        out += num;
+      }
+      if (rec.drop != 0) {
+        out += ",\"drop\":\"";
+        out += sim::DropReasonName(static_cast<sim::DropReason>(rec.drop - 1));
+        out += '"';
       }
       out += "}}";
     }
   }
   out += "\n]}\n";
   return out;
+}
+
+void RequestSummary::AddHop(std::string_view kind, SimTime dur) {
+  if (dur <= 0 || kind == HopKindName(HopKind::kClientRx) ||
+      kind == HopKindName(HopKind::kTimeout))
+    return;
+  for (auto& [name, sum] : hops) {
+    if (name == kind) {
+      sum += dur;
+      return;
+    }
+  }
+  hops.emplace_back(kind, dur);
 }
 
 std::string FormatHopBreakdown(const std::vector<RequestSummary>& summaries) {
@@ -113,7 +139,7 @@ std::string FormatHopBreakdown(const std::vector<RequestSummary>& summaries) {
     SimTime max = 0;
     SimTime sum = 0;
   };
-  Agg total{"request (end-to-end)", 0, 0, 0, 0};
+  Agg total{"request (end-to-end)"};
   std::vector<Agg> hops;
   auto fold = [](Agg& a, SimTime d) {
     if (a.count == 0 || d < a.min) a.min = d;
@@ -127,7 +153,7 @@ std::string FormatHopBreakdown(const std::vector<RequestSummary>& summaries) {
       auto it = std::find_if(hops.begin(), hops.end(),
                              [&](const Agg& a) { return a.name == name; });
       if (it == hops.end()) {
-        hops.push_back(Agg{name, 0, 0, 0, 0});
+        hops.push_back(Agg{name});
         it = hops.end() - 1;
       }
       fold(*it, dur);

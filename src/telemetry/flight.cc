@@ -1,4 +1,4 @@
-#include "telemetry/int/flight.h"
+#include "telemetry/flight.h"
 
 #include <sstream>
 

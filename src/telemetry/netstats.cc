@@ -21,7 +21,25 @@ void RegisterLinkDropCounters(Registry& reg, const sim::Network& net) {
   }
 }
 
-void AttachLinkInt(IntSink& sink, sim::Network& net) {
+void RegisterNetDropCounters(Registry& reg, const sim::Network& net) {
+  const auto total = [&net](uint64_t sim::ChannelStats::*field) {
+    return [&net, field] {
+      uint64_t sum = 0;
+      for (size_t i = 0; i < net.num_links(); ++i)
+        for (int dir = 0; dir < 2; ++dir)
+          sum += net.link(i)->stats(dir).*field;
+      return sum;
+    };
+  };
+  const std::string who = "RegisterNetDropCounters";
+  reg.AddCounter("net.drop.queue_overflow", total(&sim::ChannelStats::drops),
+                 who);
+  reg.AddCounter("net.drop.loss", total(&sim::ChannelStats::lost), who);
+  reg.AddCounter("net.drop.link_down", total(&sim::ChannelStats::down_drops),
+                 who);
+}
+
+void AttachLinkSink(Sink& sink, sim::Network& net) {
   const uint32_t lat_hist = sink.Hist("hop.link.ns", "ns");
   for (size_t i = 0; i < net.num_links(); ++i) {
     sim::Link* link = net.mutable_link(i);
@@ -29,8 +47,8 @@ void AttachLinkInt(IntSink& sink, sim::Network& net) {
       const std::string base = "link." + std::to_string(i) + "." +
                                link->endpoint(dir)->name() + "->" +
                                link->endpoint(1 - dir)->name();
-      link->AttachInt(&sink, lat_hist, dir, sink.Hop(base),
-                      sink.Hist(base + ".queue_bytes", "bytes"));
+      link->AttachSink(&sink, lat_hist, dir, sink.Site(base),
+                       sink.Hist(base + ".queue_bytes", "bytes"));
     }
   }
 }

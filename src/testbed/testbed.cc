@@ -18,10 +18,9 @@
 #include "sim/simulator.h"
 #include "stats/meters.h"
 #include "telemetry/counters.h"
-#include "telemetry/int/flight.h"
-#include "telemetry/int/int.h"
+#include "telemetry/flight.h"
 #include "telemetry/netstats.h"
-#include "telemetry/trace.h"
+#include "telemetry/sink.h"
 #include "testbed/constants.h"
 #include "testbed/workload_source.h"
 #include "verify/verify.h"
@@ -255,6 +254,12 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
       std::make_shared<ZipfWorkloadSource>(config, size_fn, dynamic);
 
   // ---- per-leaf programs --------------------------------------------------
+  // A NetCache leaf on a multi-rack fabric also holds the standby list the
+  // fabric controller stashes for it (at most netcache_size keys; see
+  // FabricController::PreloadTopKeys), so a survivor of a rack crash has
+  // room to install it. A single ToR keeps the configured size.
+  const size_t netcache_slots =
+      racks > 1 ? 2 * config.cache.netcache_size : config.cache.netcache_size;
   std::vector<std::unique_ptr<oc::OrbitProgram>> orbits;
   std::vector<std::unique_ptr<nc::NetProgram>> netps;
   std::vector<std::unique_ptr<nocache::ForwardProgram>> fwds;
@@ -280,7 +285,7 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
       }
       case Scheme::kNetCache: {
         nc::NetConfig nc_cfg;
-        nc_cfg.capacity = config.cache.netcache_size;
+        nc_cfg.capacity = netcache_slots;
         nc_cfg.orbit_port = kOrbitPort;
         nc_cfg.recirc_read_mode = config.cache.netcache_recirc_read;
         if (!config.control.run_cache_updates)
@@ -396,8 +401,8 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     control::ControllerConfig& cc = cspec.controller;
     cc.cache_size = orbit_scheme ? config.cache.orbit_cache_size
                                  : config.cache.netcache_size;
-    cc.max_cache_size = orbit_scheme ? config.cache.orbit_capacity
-                                     : config.cache.netcache_size;
+    cc.max_cache_size =
+        orbit_scheme ? config.cache.orbit_capacity : netcache_slots;
     cc.min_cache_size = std::min<size_t>(32, cc.cache_size);
     cc.dynamic_sizing = orbit_scheme && config.cache.dynamic_sizing;
     cc.update_period = config.control.update_period;
@@ -519,29 +524,28 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
   }
 
   // ---- telemetry ----------------------------------------------------------
-  // Built only when a capture sink is attached; otherwise every component
-  // keeps its null tracer and the run is indistinguishable from an
+  // Built only when a capture is attached; otherwise every component
+  // keeps its null sink and the run is indistinguishable from an
   // uninstrumented one. On a fabric, switch-scope counters get per-leaf /
-  // per-spine prefixes, and trace tracks are named after the devices, so a
-  // sampled request's packet-borne trace id stitches its leaf→spine→leaf
-  // hops into one causal timeline.
-  std::unique_ptr<telemetry::Tracer> tracer;
+  // per-spine prefixes, and telemetry sites are named after the devices,
+  // so a sampled request's packet-borne flow handle stitches its
+  // leaf→spine→leaf hops into one causal timeline.
   std::unique_ptr<telemetry::Registry> registry;
-  std::unique_ptr<telemetry::IntSink> int_sink;
+  std::unique_ptr<telemetry::Sink> sink;
   std::unique_ptr<telemetry::FlightRecorder> flight;
   std::unique_ptr<ScopedCheckFailureHook> check_hook;
   const bool capture_on = config.telemetry.capture != nullptr;
   if (capture_on) {
-    if (config.telemetry.int_sample > 0 || config.telemetry.histograms) {
-      telemetry::IntSink::Options iopt;
-      iopt.sample_every = config.telemetry.int_sample;
-      iopt.histograms = config.telemetry.histograms;
-      int_sink = std::make_unique<telemetry::IntSink>(iopt);
-      telemetry::AttachLinkInt(*int_sink, net);
-      for (int r = 0; r < racks; ++r) topo.leaf(r).SetIntSink(int_sink.get());
-      for (int s = 0; s < spines; ++s) topo.spine(s).SetIntSink(int_sink.get());
-      for (auto& srv : servers) srv->SetIntSink(int_sink.get());
-      for (auto& c : clients) c->SetIntSink(int_sink.get());
+    if (config.telemetry.trace_sample > 0 || config.telemetry.histograms) {
+      telemetry::Sink::Options sopt;
+      sopt.sample_every = config.telemetry.trace_sample;
+      sopt.histograms = config.telemetry.histograms;
+      sink = std::make_unique<telemetry::Sink>(sopt);
+      telemetry::AttachLinkSink(*sink, net);
+      for (int r = 0; r < racks; ++r) topo.leaf(r).SetSink(sink.get());
+      for (int s = 0; s < spines; ++s) topo.spine(s).SetSink(sink.get());
+      for (auto& srv : servers) srv->SetSink(sink.get());
+      for (auto& c : clients) c->SetSink(sink.get());
     }
     if (config.telemetry.flight_recorder || config.telemetry.flight_end_dump) {
       flight = std::make_unique<telemetry::FlightRecorder>();
@@ -562,14 +566,6 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
             flight->TriggerDump(sim.now(), "check failure: " + what);
             cap->flight_dump = flight->DumpText();
           });
-    }
-    if (config.telemetry.trace_sample > 0) {
-      tracer =
-          std::make_unique<telemetry::Tracer>(config.telemetry.trace_sample);
-      for (int r = 0; r < racks; ++r) topo.leaf(r).SetTracer(tracer.get());
-      for (int s = 0; s < spines; ++s) topo.spine(s).SetTracer(tracer.get());
-      for (auto& srv : servers) srv->SetTracer(tracer.get());
-      for (auto& c : clients) c->SetTracer(tracer.get());
     }
     registry = std::make_unique<telemetry::Registry>();
     for (int r = 0; r < racks; ++r) {
@@ -594,22 +590,9 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
     // Per-hop drops, one counter per link direction per reason.
     telemetry::RegisterLinkDropCounters(*registry, net);
     // Network-wide drops, bucketed by reason.
-    uint64_t* drop_ovf =
-        registry->OwnCounter("net.drop.queue_overflow", "RunTestbed");
-    uint64_t* drop_loss = registry->OwnCounter("net.drop.loss", "RunTestbed");
-    uint64_t* drop_down =
-        registry->OwnCounter("net.drop.link_down", "RunTestbed");
-    net.SetDropTap([drop_ovf, drop_loss, drop_down](
-                       const sim::Packet&, sim::Node*, sim::Node*,
-                       sim::DropReason reason, SimTime) {
-      switch (reason) {
-        case sim::DropReason::kQueueOverflow: ++*drop_ovf; break;
-        case sim::DropReason::kInjectedLoss: ++*drop_loss; break;
-        case sim::DropReason::kLinkDown: ++*drop_down; break;
-      }
-    });
+    telemetry::RegisterNetDropCounters(*registry, net);
     if (injector != nullptr)
-      injector->RegisterTelemetry(registry.get(), tracer.get());
+      injector->RegisterTelemetry(registry.get(), sink.get());
     if (failover != nullptr) failover->RegisterTelemetry(registry.get());
     if (fb.enabled() && fab_ctrl != nullptr)
       fab_ctrl->RegisterTelemetry(*registry);
@@ -872,7 +855,7 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
 
   if (capture_on) {
     telemetry::RunCapture* cap = config.telemetry.capture;
-    cap->Clear();
+    *cap = telemetry::RunCapture{};
     if (registry != nullptr) {
       // Final end-of-run sample — unless the periodic timer already fired
       // at this exact instant (duplicate timestamps would make one run
@@ -882,11 +865,7 @@ TestbedResult RunTestbed(const TestbedConfig& config) {
         telemetry_snapshots.push_back(registry->Sample(sim.now()));
       cap->snapshots = std::move(telemetry_snapshots);
     }
-    if (tracer != nullptr) {
-      cap->tracks = tracer->TakeTracks();
-      cap->events = tracer->TakeEvents();
-    }
-    if (int_sink != nullptr) int_sink->Drain(&cap->int_capture);
+    if (sink != nullptr) sink->Drain(&cap->stream);
     if (flight != nullptr) {
       if (config.telemetry.flight_end_dump)
         flight->TriggerDump(sim.now(), "end of run");

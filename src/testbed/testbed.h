@@ -140,19 +140,17 @@ struct TestbedConfig {
   SimTime timeline_bin = 0;
 
   // Telemetry (observability only). With `capture` null — the default —
-  // no tracer or registry is built and results are byte-identical to an
+  // no sink or registry is built and results are byte-identical to an
   // uninstrumented build. Excluded from ConfigJson/ConfigFingerprint:
   // instrumentation must never change a run's identity.
   struct Telemetry {
     // Caller-owned sink; setting it enables instrumentation for this run.
     telemetry::RunCapture* capture = nullptr;
-    // Trace every Nth request per client (0 disables span collection).
+    // Open a telemetry flow (hop records for the trace and postcard
+    // exporters) on every Nth request per client; 0 opens none.
     uint32_t trace_sample = 64;
     // Counter snapshot period; 0 = only the final end-of-run snapshot.
     SimTime snapshot_interval = 0;
-    // INT postcards: stamp per-hop records on every Nth request per client
-    // (0 disables postcard collection).
-    uint32_t int_sample = 0;
     // Always-on per-hop-class/per-link histograms (unsampled).
     bool histograms = false;
     // Per-component event rings; dumped on faults, check failures, or —

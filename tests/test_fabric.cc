@@ -170,7 +170,7 @@ TEST(FabricTestbed, OneRackFabricMatchesTheSingleSwitch) {
 }
 
 TEST(FabricTestbed, SaturatedThroughputScalesWithRackCount) {
-  // The acceptance property behind bench/fig_fabric: doubling the racks
+  // The acceptance property behind `run_all fig_fabric`: doubling the racks
   // (servers, clients, and per-leaf caches scale along) must raise the
   // aggregate saturated throughput materially — each leaf keeps absorbing
   // its own rack's hot keys, so racks add capacity instead of contending.
@@ -224,33 +224,34 @@ TEST(FabricTestbed, TelemetryCoversLeavesSpinesAndLinks) {
   EXPECT_EQ(overflow_counters, down_counters);
 }
 
-TEST(FabricTestbed, TraceIdsSurviveLeafSpineLeafHops) {
+TEST(FabricTestbed, FlowsSurviveLeafSpineLeafHops) {
   TestbedConfig cfg = SmallFabricConfig(Scheme::kOrbitCache, 2);
   telemetry::RunCapture cap;
   cfg.telemetry.capture = &cap;
   cfg.telemetry.trace_sample = 8;
   (void)RunTestbed(cfg);
 
-  const auto track_id = [&cap](const std::string& name) {
-    for (size_t i = 0; i < cap.tracks.size(); ++i)
-      if (cap.tracks[i] == name) return static_cast<int>(i);
-    return -1;
+  const telemetry::StreamCapture& sc = cap.stream;
+  const auto site_id = [&sc](const std::string& name) {
+    for (size_t i = 0; i < sc.sites.size(); ++i)
+      if (sc.sites[i] == name) return static_cast<int64_t>(i);
+    return int64_t{-1};
   };
-  const int leaf0 = track_id("leaf0");
-  const int leaf1 = track_id("leaf1");
-  const int spine0 = track_id("spine0");
+  const int64_t leaf0 = site_id("leaf0.pipeline");
+  const int64_t leaf1 = site_id("leaf1.pipeline");
+  const int64_t spine0 = site_id("spine0.pipeline");
   ASSERT_GE(leaf0, 0);
   ASSERT_GE(leaf1, 0);
   ASSERT_GE(spine0, 0);
 
-  // A sampled cross-rack request keeps its packet-borne trace id through
-  // every hop: the same id must appear on a leaf track and on the spine.
+  // A sampled cross-rack request keeps its packet-borne flow handle
+  // through every hop: the same flow must pass a leaf and the spine.
   bool stitched = false;
-  for (const telemetry::TraceEvent& spine_ev : cap.events) {
-    if (spine_ev.track != spine0 || spine_ev.trace_id == 0) continue;
-    for (const telemetry::TraceEvent& leaf_ev : cap.events) {
-      if (leaf_ev.trace_id != spine_ev.trace_id) continue;
-      if (leaf_ev.track == leaf0 || leaf_ev.track == leaf1) {
+  for (const telemetry::HopRecord& spine_rec : sc.records) {
+    if (spine_rec.site != spine0 || spine_rec.flow == 0) continue;
+    for (const telemetry::HopRecord& leaf_rec : sc.records) {
+      if (leaf_rec.flow != spine_rec.flow) continue;
+      if (leaf_rec.site == leaf0 || leaf_rec.site == leaf1) {
         stitched = true;
         break;
       }
@@ -258,7 +259,7 @@ TEST(FabricTestbed, TraceIdsSurviveLeafSpineLeafHops) {
     if (stitched) break;
   }
   EXPECT_TRUE(stitched)
-      << "no trace id shared between a leaf track and the spine track";
+      << "no flow shared between a leaf pipeline and the spine pipeline";
 }
 
 TEST(FabricTestbed, TelemetryIsResultsNeutral) {

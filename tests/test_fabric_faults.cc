@@ -465,9 +465,15 @@ TEST(FabricDegradation, SurvivorKeepsItsExtrasAcrossUpdateTicks) {
     const TestbedResult res = RunTestbed(cfg);
     EXPECT_EQ(res.faults_injected, 1u);
     // Leaf 0 is in bypass and empty. OrbitCache's leaf 1 holds its 16
-    // preloaded entries plus 16 standby keys; NetCache's leaf 1 fills its
-    // whole 500-entry lookup table.
-    EXPECT_EQ(res.cache_entries, orbit_scheme ? 32u : 500u);
+    // preloaded entries plus 16 standby keys; NetCache's leaf 1 its 418
+    // preloaded (cacheable) entries plus all 500 standby keys, which fit
+    // only because a multi-rack NetCache table has room for the standby
+    // list on top of its preload (sized to netcache_size alone, it stopped
+    // at exactly 500).
+    EXPECT_EQ(res.cache_entries, orbit_scheme ? 32u : 918u);
+    if (!orbit_scheme) {
+      EXPECT_LE(res.cache_entries, 2u * cfg.cache.netcache_size);
+    }
     EXPECT_EQ(res.stale_reads, 0u);
   }
 }

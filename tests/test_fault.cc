@@ -13,6 +13,7 @@
 #include "sim/network.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
+#include "telemetry/sink.h"
 #include "testbed/serialize.h"
 #include "testbed/testbed.h"
 
@@ -202,6 +203,37 @@ TEST(FaultInjector, EmptyHooksAreCountedNoops) {
   sim.RunToCompletion();
   EXPECT_EQ(injector.stats().injected, 2u);
   EXPECT_EQ(injector.stats().cache_rebuilds, 0u);
+}
+
+TEST(FaultInjector, RecordsNameTheirServerOrRack) {
+  sim::Simulator sim;
+  FaultSchedule schedule = LeafCrashAt(/*rack=*/2, 10 * kMicrosecond,
+                                       20 * kMicrosecond, 5 * kMicrosecond);
+  schedule.events.push_back({30 * kMicrosecond, FaultKind::kServerCrash, 3});
+  FaultHooks hooks;
+  hooks.rebuild_leaf = [](int) {};
+  FaultInjector injector(&sim, schedule, std::move(hooks));
+  telemetry::Sink sink({/*sample_every=*/0, /*histograms=*/false});
+  injector.RegisterTelemetry(nullptr, &sink);
+  injector.Arm();
+  sim.RunToCompletion();
+
+  telemetry::StreamCapture sc;
+  sink.Drain(&sc);
+  ASSERT_EQ(sc.records.size(), 4u);
+  const std::vector<std::pair<std::string, int64_t>> want = {
+      {FaultKindName(FaultKind::kLeafCrash), 2},
+      {FaultKindName(FaultKind::kLeafRestart), 2},
+      {"leaf_rebuild", 2},
+      {FaultKindName(FaultKind::kServerCrash), 3}};
+  for (size_t i = 0; i < want.size(); ++i) {
+    const telemetry::HopRecord& rec = sc.records[i];
+    EXPECT_EQ(rec.kind, telemetry::HopKind::kFault);
+    EXPECT_EQ(rec.flow, 0u) << "faults are flow-less";
+    EXPECT_EQ(rec.detail, want[i].first);
+    EXPECT_EQ(rec.value, want[i].second) << rec.detail;
+  }
+  EXPECT_EQ(sc.records[2].at, 25 * kMicrosecond) << "rebuild after restart";
 }
 
 TEST(FaultSchedule, BuildersAndEmptiness) {

@@ -3,7 +3,8 @@
 // order, and every metric are identical to a serial run. Each worker's
 // Simulator installs its own thread-local packet pool, so these tests
 // also pin down that pooling cannot leak state across concurrent points.
-// Also covers failure isolation and the per-point wall-clock timeout.
+// Also covers failure isolation, the per-point wall-clock timeout, and
+// how run_all's positional filters pick experiments.
 #include "harness/runner.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <stdexcept>
 
 #include "fault/fault.h"
+#include "harness/cli.h"
 #include "harness/metrics.h"
 #include "harness/sat_cache.h"
 
@@ -222,6 +224,34 @@ TEST(SaturationCacheTest, FailedComputeIsEvictedAndRetried) {
   (void)cache.Get(cfg, 0.03, 0);
   EXPECT_EQ(cache.hits(), hits_before + 1);
   EXPECT_EQ(calls, 2);
+}
+
+TEST(SelectExperiments, ExactNameSelectsOnlyThatExperiment) {
+  std::vector<ExperimentSpec> specs(4);
+  specs[0].name = "fig17_item_size";
+  specs[1].name = "fig17_effective_size";
+  specs[2].name = "fig_fabric";
+  specs[3].name = "fig_fabric_failover";
+  const auto names = [&specs](const std::vector<std::string>& filters) {
+    std::vector<std::string> out;
+    for (const ExperimentSpec& s : SelectExperiments(specs, filters))
+      out.push_back(s.name);
+    return out;
+  };
+  // An exact name no longer drags in every experiment it prefixes.
+  EXPECT_EQ(names({"fig_fabric"}), std::vector<std::string>{"fig_fabric"});
+  EXPECT_EQ(names({"fig_fabric_failover"}),
+            std::vector<std::string>{"fig_fabric_failover"});
+  // Anything else keeps substring matching, in declaration order.
+  EXPECT_EQ(names({"fig17"}),
+            (std::vector<std::string>{"fig17_item_size",
+                                      "fig17_effective_size"}));
+  EXPECT_EQ(names({"fabric"}),
+            (std::vector<std::string>{"fig_fabric", "fig_fabric_failover"}));
+  EXPECT_EQ(names({"fig_fabric", "item"}),
+            (std::vector<std::string>{"fig17_item_size", "fig_fabric"}));
+  EXPECT_EQ(names({}).size(), 4u) << "no filter selects everything";
+  EXPECT_TRUE(names({"fig99"}).empty());
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// INT subsystem coverage: sink/recorder unit behavior, an instrumented
-// run fills the INT capture, INT is results-neutral, postcards and
-// histogram merges are byte-identical serial vs --jobs N, flight dumps
-// are byte-stable for a fixed seed, and duplicate telemetry registration
-// is rejected naming both registrants.
+// INT postcard and histogram coverage: an instrumented run fills the
+// stream and histogram capture, instrumentation is results-neutral,
+// postcards and histogram merges are byte-identical serial vs --jobs N,
+// flight dumps are byte-stable for a fixed seed, and duplicate telemetry
+// registration is rejected naming both registrants. (The sink's own unit
+// behavior is covered in test_telemetry and test_trace.)
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,87 +14,12 @@
 #include "harness/runner.h"
 #include "harness/telemetry_io.h"
 #include "telemetry/counters.h"
-#include "telemetry/int/flight.h"
-#include "telemetry/int/int.h"
+#include "telemetry/flight.h"
 #include "testbed/serialize.h"
 #include "testbed/testbed.h"
 
 namespace orbit::harness {
 namespace {
-
-// --- IntSink unit behavior -------------------------------------------------
-
-TEST(IntSink, InterningIsStableAndShared) {
-  telemetry::IntSink sink({/*sample_every=*/4, /*histograms=*/true});
-  const uint32_t a = sink.Hop("hop.link.ns");
-  const uint32_t b = sink.Hop("leaf0.pipeline");
-  EXPECT_NE(a, b);
-  // Same name -> same id: shared class names aggregate across devices.
-  EXPECT_EQ(a, sink.Hop("hop.link.ns"));
-  EXPECT_EQ(sink.Hist("value.bytes", "bytes"),
-            sink.Hist("value.bytes", "bytes"));
-}
-
-TEST(IntSink, StructuralSamplingMatchesTracer) {
-  telemetry::IntSink sink({/*sample_every=*/8, /*histograms=*/false});
-  EXPECT_TRUE(sink.Sampled(0));
-  EXPECT_FALSE(sink.Sampled(1));
-  EXPECT_TRUE(sink.Sampled(8));
-  telemetry::IntSink off({/*sample_every=*/0, /*histograms=*/false});
-  EXPECT_FALSE(off.postcards_on());
-  EXPECT_FALSE(off.Sampled(0));
-}
-
-TEST(IntSink, FlowCollectsHopsAndTruncatesPastCap) {
-  telemetry::IntSink sink({/*sample_every=*/1, /*histograms=*/false});
-  const uint32_t hop = sink.Hop("hop.recirc.ns");
-  const uint32_t id = sink.StartFlow(/*flow_id=*/42, /*op=*/1, /*at=*/100);
-  ASSERT_NE(id, 0u);
-  telemetry::IntHop rec;
-  rec.hop = hop;
-  rec.kind = telemetry::IntHopKind::kRecirc;
-  // A pathologically orbiting packet must not grow the flow unbounded.
-  for (int i = 0; i < 1'000; ++i) {
-    rec.at = 100 + i;
-    sink.Stamp(id, rec);
-  }
-  sink.FinishFlow(id, 2'000, "read_cached");
-  // Stamping through int_id 0 (unsampled) is a silent no-op.
-  sink.Stamp(0, rec);
-
-  telemetry::IntCapture cap;
-  sink.Drain(&cap);
-  ASSERT_EQ(cap.flows.size(), 1u);
-  const telemetry::IntFlowRec& flow = cap.flows[0];
-  EXPECT_EQ(flow.flow_id, 42u);
-  EXPECT_EQ(flow.finished_at, 2'000);
-  EXPECT_STREQ(flow.outcome, "read_cached");
-  EXPECT_LT(flow.hops.size(), 1'000u);
-  EXPECT_EQ(flow.hops.size() + flow.truncated_hops, 1'000u);
-}
-
-TEST(IntSink, HistogramsRecordOnlyWhenEnabled) {
-  telemetry::IntSink off({/*sample_every=*/0, /*histograms=*/false});
-  const uint32_t h_off = off.Hist("hop.rtt.ns", "ns");
-  off.Record(h_off, 1'234);
-  telemetry::IntCapture cap_off;
-  off.Drain(&cap_off);
-  EXPECT_TRUE(cap_off.hists.empty());
-
-  telemetry::IntSink on({/*sample_every=*/0, /*histograms=*/true});
-  const uint32_t h_on = on.Hist("hop.rtt.ns", "ns");
-  // Values < 64 land in the exact linear row, so the finalized min/max
-  // come back unchanged (above that they are bucket mid-points).
-  for (int64_t v : {10, 20, 40, 50}) on.Record(h_on, v);
-  telemetry::IntCapture cap_on;
-  on.Drain(&cap_on);
-  ASSERT_EQ(cap_on.hists.size(), 1u);
-  EXPECT_EQ(cap_on.hists[0].name, "hop.rtt.ns");
-  EXPECT_EQ(cap_on.hists[0].unit, "ns");
-  EXPECT_EQ(cap_on.hists[0].count, 4u);
-  EXPECT_EQ(cap_on.hists[0].min, 10);
-  EXPECT_EQ(cap_on.hists[0].max, 50);
-}
 
 // --- FlightRecorder unit behavior ------------------------------------------
 
@@ -165,28 +91,30 @@ TEST(IntTestbed, InstrumentedRunFillsIntCapture) {
   telemetry::RunCapture cap;
   testbed::TestbedConfig cfg = TinyConfig(testbed::Scheme::kOrbitCache);
   cfg.telemetry.capture = &cap;
-  cfg.telemetry.int_sample = 8;
+  cfg.telemetry.trace_sample = 8;
   cfg.telemetry.histograms = true;
   cfg.telemetry.flight_recorder = true;
   cfg.telemetry.flight_end_dump = true;
   testbed::RunTestbed(cfg);
 
-  ASSERT_FALSE(cap.int_capture.flows.empty());
-  ASSERT_FALSE(cap.int_capture.hop_names.empty());
-  bool saw_hops = false, saw_finished = false;
-  for (const auto& flow : cap.int_capture.flows) {
-    if (!flow.hops.empty()) saw_hops = true;
+  ASSERT_FALSE(cap.stream.flows.empty());
+  ASSERT_FALSE(cap.stream.sites.empty());
+  bool saw_finished = false;
+  for (const auto& flow : cap.stream.flows) {
     if (flow.finished_at != 0) saw_finished = true;
-    for (const auto& hop : flow.hops)
-      ASSERT_LT(hop.hop, cap.int_capture.hop_names.size());
+    EXPECT_LE(flow.hops, telemetry::Sink::kMaxHopsPerFlow);
   }
-  EXPECT_TRUE(saw_hops);
   EXPECT_TRUE(saw_finished);
+  ASSERT_FALSE(cap.stream.records.empty());
+  for (const auto& rec : cap.stream.records) {
+    ASSERT_LT(rec.site, cap.stream.sites.size());
+    ASSERT_LE(rec.flow, cap.stream.flows.size());
+  }
 
   // Always-on histograms cover the shared hop classes.
-  ASSERT_FALSE(cap.int_capture.hists.empty());
+  ASSERT_FALSE(cap.stream.hists.empty());
   bool saw_rtt = false;
-  for (const auto& h : cap.int_capture.hists) {
+  for (const auto& h : cap.stream.hists) {
     if (h.name == "hop.rtt.ns") {
       saw_rtt = true;
       EXPECT_GT(h.count, 0u);
@@ -207,7 +135,7 @@ TEST(IntTestbed, IntIsResultsNeutral) {
   telemetry::RunCapture cap;
   testbed::TestbedConfig instrumented = base;
   instrumented.telemetry.capture = &cap;
-  instrumented.telemetry.int_sample = 4;  // heavy sampling on purpose
+  instrumented.telemetry.trace_sample = 4;  // heavy sampling on purpose
   instrumented.telemetry.histograms = true;
   instrumented.telemetry.flight_recorder = true;
   instrumented.telemetry.flight_end_dump = true;
@@ -220,14 +148,14 @@ TEST(IntTestbed, IntIsResultsNeutral) {
   EXPECT_EQ(plain.events_processed, with_int.events_processed);
   EXPECT_EQ(testbed::ConfigFingerprint(base),
             testbed::ConfigFingerprint(instrumented));
-  EXPECT_FALSE(cap.int_capture.empty());
+  EXPECT_FALSE(cap.stream.empty());
 }
 
 TEST(IntTestbed, FlightDumpByteStableAcrossRuns) {
   auto run = [](telemetry::RunCapture* cap) {
     testbed::TestbedConfig cfg = TinyConfig(testbed::Scheme::kNetCache);
     cfg.telemetry.capture = cap;
-    cfg.telemetry.int_sample = 8;
+    cfg.telemetry.trace_sample = 8;
     cfg.telemetry.histograms = true;
     cfg.telemetry.flight_recorder = true;
     cfg.telemetry.flight_end_dump = true;
@@ -238,14 +166,14 @@ TEST(IntTestbed, FlightDumpByteStableAcrossRuns) {
   run(&b);
   ASSERT_FALSE(a.flight_dump.empty());
   EXPECT_EQ(a.flight_dump, b.flight_dump);
-  // Postcards and histogram snapshots repeat byte-for-byte too.
-  ASSERT_EQ(a.int_capture.flows.size(), b.int_capture.flows.size());
-  EXPECT_EQ(a.int_capture.hop_names, b.int_capture.hop_names);
-  for (size_t i = 0; i < a.int_capture.flows.size(); ++i) {
-    EXPECT_EQ(a.int_capture.flows[i].flow_id, b.int_capture.flows[i].flow_id);
-    EXPECT_EQ(a.int_capture.flows[i].hops.size(),
-              b.int_capture.flows[i].hops.size());
+  // The hop stream repeats record for record too.
+  EXPECT_EQ(a.stream.sites, b.stream.sites);
+  ASSERT_EQ(a.stream.flows.size(), b.stream.flows.size());
+  for (size_t i = 0; i < a.stream.flows.size(); ++i) {
+    EXPECT_EQ(a.stream.flows[i].id, b.stream.flows[i].id);
+    EXPECT_EQ(a.stream.flows[i].hops, b.stream.flows[i].hops);
   }
+  EXPECT_EQ(a.stream.records.size(), b.stream.records.size());
 }
 
 // --- Harness-level determinism ---------------------------------------------
@@ -267,7 +195,7 @@ TEST(IntRunner, RecordsAreByteIdenticalWithIntOnOrOff) {
   off.progress = false;
   RunnerOptions on = off;
   on.capture_telemetry = true;
-  on.int_sample = 8;
+  on.trace_sample = 8;
   on.histograms = true;
   on.flight_recorder = true;
   on.flight_end_dump = true;
@@ -277,7 +205,7 @@ TEST(IntRunner, RecordsAreByteIdenticalWithIntOnOrOff) {
   // The headline promise: INT is a pure side channel.
   EXPECT_EQ(DumpJsonl(a.records), DumpJsonl(b.records));
   ASSERT_EQ(b.captures.size(), b.records.size());
-  EXPECT_FALSE(b.captures[0].int_capture.empty());
+  EXPECT_FALSE(b.captures[0].stream.empty());
 }
 
 TEST(IntRunner, PostcardsAndHistogramsIdenticalSerialVsParallel) {
@@ -285,7 +213,7 @@ TEST(IntRunner, PostcardsAndHistogramsIdenticalSerialVsParallel) {
   RunnerOptions serial;
   serial.progress = false;
   serial.capture_telemetry = true;
-  serial.int_sample = 8;
+  serial.trace_sample = 8;
   serial.histograms = true;
   serial.flight_recorder = true;
   serial.flight_end_dump = true;

@@ -1,82 +1,123 @@
-// Telemetry unit coverage: structural sampling, the counter registry,
-// request roll-ups, the golden Chrome trace-event JSON form (the external
-// contract Perfetto consumes), and the link drop tap feeding drop
-// counters.
+// Telemetry unit coverage: structural sampling and site interning in the
+// hop-record sink, the per-request hop-time roll-up and its table, the
+// counter registry, the golden Chrome trace-event JSON form (the external
+// contract Perfetto consumes), and link drops reaching the stream with
+// their reason.
 #include <gtest/gtest.h>
 
 #include "sim/network.h"
 #include "sim/node.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 #include "telemetry/counters.h"
 #include "telemetry/export.h"
-#include "telemetry/trace.h"
+#include "telemetry/netstats.h"
+#include "telemetry/sink.h"
 
 namespace orbit::telemetry {
 namespace {
 
-TEST(Tracer, StructuralSampling) {
-  Tracer t(4);
-  EXPECT_TRUE(t.Sampled(0));
-  EXPECT_FALSE(t.Sampled(1));
-  EXPECT_FALSE(t.Sampled(3));
-  EXPECT_TRUE(t.Sampled(4));
-  EXPECT_TRUE(t.Sampled(8));
+TEST(Sink, StructuralSampling) {
+  Sink sink({/*sample_every=*/4, /*histograms=*/false});
+  EXPECT_NE(sink.OpenFlow(1, 0, 0, 0), 0u);
+  EXPECT_EQ(sink.OpenFlow(1, 1, 0, 0), 0u);
+  EXPECT_EQ(sink.OpenFlow(1, 3, 0, 0), 0u);
+  EXPECT_NE(sink.OpenFlow(1, 4, 0, 0), 0u);
+  EXPECT_EQ(sink.OpenFlow(1, 8, 0, 0), 3u) << "handles are dense";
 
-  Tracer off(0);
-  EXPECT_FALSE(off.Sampled(0));
-  EXPECT_FALSE(off.Sampled(64));
+  Sink off({/*sample_every=*/0, /*histograms=*/false});
+  EXPECT_EQ(off.OpenFlow(1, 0, 0, 0), 0u);
+  EXPECT_EQ(off.OpenFlow(1, 64, 0, 0), 0u);
 }
 
-TEST(Tracer, TraceIdEncodesClientAndSeq) {
-  const uint64_t id = MakeTraceId(0x0a000001, 42);
+TEST(Sink, FlowIdEncodesClientAndSeq) {
+  const uint64_t id = MakeFlowId(0x0a000001, 42);
   EXPECT_EQ(id >> 32, 0x0a000001u);
   EXPECT_EQ(id & 0xffffffffu, 42u);
-  EXPECT_NE(MakeTraceId(1, 7), MakeTraceId(2, 7));
-  EXPECT_NE(MakeTraceId(1, 7), MakeTraceId(1, 8));
+  EXPECT_NE(MakeFlowId(1, 7), MakeFlowId(2, 7));
+  EXPECT_NE(MakeFlowId(1, 7), MakeFlowId(1, 8));
+
+  Sink sink({/*sample_every=*/1, /*histograms=*/false});
+  const uint32_t h = sink.OpenFlow(0x0a000001, 42, 1, 500);
+  StreamCapture sc;
+  sink.Drain(&sc);
+  ASSERT_EQ(sc.flows.size(), 1u);
+  EXPECT_EQ(h, 1u);
+  EXPECT_EQ(sc.flows[0].id, id);
+  EXPECT_EQ(sc.flows[0].started_at, 500);
+  EXPECT_EQ(sc.flows[0].finished_at, 0) << "open until closed";
 }
 
-TEST(Tracer, TracksAreDenseIndices) {
-  Tracer t(1);
-  EXPECT_EQ(t.RegisterTrack("tor"), 0);
-  EXPECT_EQ(t.RegisterTrack("client-1"), 1);
-  ASSERT_EQ(t.tracks().size(), 2u);
-  EXPECT_EQ(t.tracks()[1], "client-1");
+TEST(Sink, SitesAreDenseIndicesAndShared) {
+  Sink sink({/*sample_every=*/1, /*histograms=*/true});
+  EXPECT_EQ(sink.Site("tor.pipeline"), 0u);
+  EXPECT_EQ(sink.Site("client-1.tx"), 1u);
+  EXPECT_EQ(sink.Site("tor.pipeline"), 0u) << "same name, same site";
+  EXPECT_EQ(sink.Hist("value.bytes", "bytes"),
+            sink.Hist("value.bytes", "bytes"));
+  StreamCapture sc;
+  sink.Drain(&sc);
+  ASSERT_EQ(sc.sites.size(), 2u);
+  EXPECT_EQ(sc.sites[1], "client-1.tx");
 }
 
-TEST(SummarizeRequests, GroupsByTraceIdAndSumsHops) {
-  Tracer t(1);
-  const int track = t.RegisterTrack("x");
-  // Request A: root span + two recirc passes that must sum.
-  t.Span(track, 1, "request", 0, 1000, "read_cached");
-  t.Span(track, 1, "recirc", 100, 200);
-  t.Span(track, 1, "recirc", 400, 300);
-  t.Instant(track, 1, "lookup_hit", 50);  // instants carry no duration
-  // Request B interleaved; untraced events are skipped.
-  t.Span(track, 2, "request", 10, 500, "read_server");
-  t.Span(track, 0, "pipeline", 0, 77);
+TEST(Sink, HistogramsRecordOnlyWhenEnabled) {
+  Sink off({/*sample_every=*/0, /*histograms=*/false});
+  off.Record(off.Hist("hop.rtt.ns", "ns"), 1'234);
+  StreamCapture cap_off;
+  off.Drain(&cap_off);
+  EXPECT_TRUE(cap_off.hists.empty());
 
-  const auto summaries = SummarizeRequests(t.events());
-  ASSERT_EQ(summaries.size(), 2u);
-  EXPECT_EQ(summaries[0].trace_id, 1u);
-  EXPECT_STREQ(summaries[0].outcome, "read_cached");
-  EXPECT_EQ(summaries[0].total, 1000);
-  ASSERT_EQ(summaries[0].hops.size(), 1u);
-  EXPECT_EQ(summaries[0].hops[0].first, "recirc");
-  EXPECT_EQ(summaries[0].hops[0].second, 500);
-  EXPECT_EQ(summaries[0].events, 4u);
-  EXPECT_STREQ(summaries[1].outcome, "read_server");
+  Sink on({/*sample_every=*/0, /*histograms=*/true});
+  const uint32_t h_on = on.Hist("hop.rtt.ns", "ns");
+  // Values < 64 land in the exact linear row, so the finalized min/max
+  // come back unchanged (above that they are bucket mid-points).
+  for (int64_t v : {10, 20, 40, 50}) on.Record(h_on, v);
+  StreamCapture cap_on;
+  on.Drain(&cap_on);
+  ASSERT_EQ(cap_on.hists.size(), 1u);
+  EXPECT_EQ(cap_on.hists[0].name, "hop.rtt.ns");
+  EXPECT_EQ(cap_on.hists[0].unit, "ns");
+  EXPECT_EQ(cap_on.hists[0].count, 4u);
+  EXPECT_EQ(cap_on.hists[0].min, 10);
+  EXPECT_EQ(cap_on.hists[0].max, 50);
+}
+
+TEST(RequestSummary, SumsRepeatedHopsAndSkipsInstants) {
+  RequestSummary s;
+  s.AddHop("recirc", 200);
+  s.AddHop("pipeline", 0);  // instants carry no time
+  s.AddHop("link", 50);
+  s.AddHop("recirc", 300);
+  // Closing records span the whole request: that is `total`, not a hop.
+  s.AddHop("client_rx", 1000);
+  s.AddHop("timeout", 1000);
+  ASSERT_EQ(s.hops.size(), 2u);
+  EXPECT_EQ(s.hops[0].first, "recirc");
+  EXPECT_EQ(s.hops[0].second, 500);
+  EXPECT_EQ(s.hops[1].first, "link");
+  EXPECT_EQ(s.hops[1].second, 50);
 }
 
 TEST(FormatHopBreakdown, RendersPerHopRows) {
-  Tracer t(1);
-  const int track = t.RegisterTrack("x");
-  t.Span(track, 1, "request", 0, 2000, "read_cached");
-  t.Span(track, 1, "srv_process", 0, 500);
-  const std::string table = FormatHopBreakdown(SummarizeRequests(t.events()));
-  EXPECT_NE(table.find("request (end-to-end)"), std::string::npos);
-  EXPECT_NE(table.find("srv_process"), std::string::npos);
-  EXPECT_NE(table.find("2.000"), std::string::npos);  // 2000ns = 2.000us
+  RequestSummary a;
+  a.total = 2000;
+  a.AddHop("srv_process", 500);
+  RequestSummary b;
+  b.total = 1000;
+  b.AddHop("srv_process", 1500);
+  b.AddHop("recirc", 250);
+  RequestSummary unfinished;  // no end-to-end time, but its hops count
+  unfinished.AddHop("pipeline", 100);
+  // End-to-end row first, then hop kinds in first-seen order; min/mean/max
+  // over the requests that spent time there, in microseconds.
+  EXPECT_EQ(FormatHopBreakdown({a, b, unfinished}),
+      "hop                        requests       min_us      mean_us       max_us\n"
+      "request (end-to-end)              2        1.000        1.500        2.000\n"
+      "srv_process                       2        0.500        1.000        1.500\n"
+      "recirc                            1        0.250        0.250        0.250\n"
+      "pipeline                          1        0.100        0.100        0.100\n");
+  EXPECT_EQ(FormatHopBreakdown({}),
+      "hop                        requests       min_us      mean_us       max_us\n");
 }
 
 TEST(Registry, SamplesInRegistrationOrder) {
@@ -85,8 +126,8 @@ TEST(Registry, SamplesInRegistrationOrder) {
   reg.AddCounter("b.second", [] { return uint64_t{2}; });
   reg.AddCounter("a.first", [&a] { return a; });
   reg.AddGauge("depth", [] { return uint64_t{7}; });
-  uint64_t* own = reg.OwnCounter("drops");
-  *own += 3;
+  uint64_t drops = 3;
+  reg.AddCounter("drops", [&drops] { return drops; });
 
   Snapshot snap = reg.Sample(123);
   EXPECT_EQ(snap.at, 123);
@@ -102,20 +143,31 @@ TEST(Registry, SamplesInRegistrationOrder) {
 
   // Sources are live: later samples see updated values.
   a = 9;
-  *own += 1;
+  drops += 1;
   snap = reg.Sample(456);
   EXPECT_EQ(snap.counters[1].second, 9u);
   EXPECT_EQ(snap.counters[2].second, 4u);
 }
 
 // The exact exported bytes are the external contract (Perfetto reads
-// them); lock the golden form of every event shape in one small capture.
+// them); lock the golden form of every event shape in one small capture:
+// an opening span, an instant, a closing span, and a flow-less drop.
 TEST(ChromeTraceJson, GoldenDocument) {
-  RunCapture cap;
-  cap.tracks = {"tor", "client-1"};
-  cap.events.push_back({1500, 2250, 42, 0, "pipeline", "forward_port", 0});
-  cap.events.push_back({4000, 0, 42, 1, "send", "read", 0});
-  cap.events.push_back({5000, 1000, 42, 0, "recirc", nullptr, 96});
+  StreamCapture cap;
+  cap.sites = {"tor.pipeline", "client-1.rx"};
+  FlowRec flow;
+  flow.id = 42;
+  cap.flows = {flow};
+  cap.records.push_back({.at = 1500, .dur = 2250, .value = 250,
+                         .detail = "forward_port", .flow = 1, .site = 0,
+                         .kind = HopKind::kPipeline});
+  cap.records.push_back({.at = 4000, .detail = "read", .flow = 1, .site = 1,
+                         .kind = HopKind::kClientTx});
+  cap.records.push_back({.at = 9000, .dur = 5000, .detail = "read_cached",
+                         .flow = 1, .site = 1, .recirc = 3,
+                         .kind = HopKind::kClientRx});
+  cap.records.push_back({.at = 9500, .site = 0, .kind = HopKind::kDrop,
+                         .drop = 1});
 
   const std::string json = ChromeTraceJson({{"exp point=0", &cap}});
   const std::string expected =
@@ -123,17 +175,20 @@ TEST(ChromeTraceJson, GoldenDocument) {
       "{\"ph\":\"M\",\"pid\":0,\"name\":\"process_name\",\"args\":{\"name\":"
       "\"exp point=0\"}},\n"
       "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\",\"args\":{"
-      "\"name\":\"tor\"}},\n"
+      "\"name\":\"tor.pipeline\"}},\n"
       "{\"ph\":\"M\",\"pid\":0,\"tid\":1,\"name\":\"thread_name\",\"args\":{"
-      "\"name\":\"client-1\"}},\n"
+      "\"name\":\"client-1.rx\"}},\n"
       "{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":1.500,\"dur\":2.250,\"name\":"
-      "\"pipeline:forward_port\",\"cat\":\"telemetry\",\"args\":{\"trace_id\":"
-      "42}},\n"
+      "\"pipeline:forward_port\",\"cat\":\"telemetry\",\"args\":{\"flow\":42,"
+      "\"value\":250}},\n"
       "{\"ph\":\"i\",\"pid\":0,\"tid\":1,\"ts\":4.000,\"s\":\"t\",\"name\":"
-      "\"send:read\",\"cat\":\"telemetry\",\"args\":{\"trace_id\":42}},\n"
-      "{\"ph\":\"X\",\"pid\":0,\"tid\":0,\"ts\":5.000,\"dur\":1.000,\"name\":"
-      "\"recirc\",\"cat\":\"telemetry\",\"args\":{\"trace_id\":42,\"value\":"
-      "96}}\n"
+      "\"client_tx:read\",\"cat\":\"telemetry\",\"args\":{\"flow\":42}},\n"
+      "{\"ph\":\"X\",\"pid\":0,\"tid\":1,\"ts\":4.000,\"dur\":5.000,\"name\":"
+      "\"client_rx:read_cached\",\"cat\":\"telemetry\",\"args\":{\"flow\":42,"
+      "\"recirc\":3}},\n"
+      "{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"ts\":9.500,\"s\":\"t\",\"name\":"
+      "\"drop\",\"cat\":\"telemetry\",\"args\":{\"flow\":0,\"drop\":"
+      "\"queue_overflow\"}}\n"
       "]}\n";
   EXPECT_EQ(json, expected);
 }
@@ -143,7 +198,7 @@ TEST(ChromeTraceJson, EmptyCaptureListStillValidDocument) {
   EXPECT_EQ(json, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n\n]}\n");
 }
 
-// ---- drop tap (satellite: sim::Network drop events) ----------------------
+// ---- link drops reach the stream -------------------------------------------
 
 class SinkNode : public sim::Node {
  public:
@@ -151,7 +206,7 @@ class SinkNode : public sim::Node {
   std::string name() const override { return "sink"; }
 };
 
-TEST(DropTap, QueueOverflowFiresTapWithReason) {
+TEST(LinkDrop, QueueOverflowWritesDropRecordWithReason) {
   sim::Simulator sim;
   sim::Network net(&sim);
   SinkNode a, b;
@@ -160,54 +215,35 @@ TEST(DropTap, QueueOverflowFiresTapWithReason) {
   link.propagation = 100;
   link.queue_limit_bytes = 200;   // tiny drop-tail queue
   const auto att = net.Connect(&a, &b, link);
+  Sink sink({/*sample_every=*/1, /*histograms=*/false});
+  AttachLinkSink(sink, net);
 
-  uint64_t drops = 0;
-  sim::DropReason last = sim::DropReason::kInjectedLoss;
-  net.SetDropTap([&](const sim::Packet&, sim::Node*, sim::Node*,
-                     sim::DropReason reason, SimTime) {
-    ++drops;
-    last = reason;
-  });
-
-  for (int i = 0; i < 20; ++i) {
+  for (uint32_t i = 0; i < 20; ++i) {
     proto::Message msg;
     msg.op = proto::Op::kReadReq;
     auto pkt = sim::MakePacket(1, 2, 5008, 5008, std::move(msg));
+    pkt->flow = sink.OpenFlow(1, i, 0, 0);
     net.Send(&a, att.port_a, std::move(pkt));
   }
   sim.RunToCompletion();
+  StreamCapture sc;
+  sink.Drain(&sc);
+  uint64_t drops = 0, commits = 0;
+  for (const HopRecord& rec : sc.records) {
+    if (rec.kind == HopKind::kLink) ++commits;
+    if (rec.kind != HopKind::kDrop) continue;
+    ++drops;
+    EXPECT_EQ(rec.drop, 1 + static_cast<int>(sim::DropReason::kQueueOverflow));
+  }
   EXPECT_GT(drops, 0u);
-  EXPECT_EQ(last, sim::DropReason::kQueueOverflow);
+  EXPECT_EQ(drops, att.link->stats(0).drops);
+  EXPECT_EQ(commits, att.link->stats(0).packets);
   EXPECT_STREQ(sim::DropReasonName(sim::DropReason::kQueueOverflow),
                "queue_overflow");
   EXPECT_STREQ(sim::DropReasonName(sim::DropReason::kInjectedLoss),
                "injected_loss");
-}
-
-TEST(DropTap, PacketTraceRecordsDrops) {
-  sim::Simulator sim;
-  sim::Network net(&sim);
-  SinkNode a, b;
-  sim::LinkConfig link;
-  link.rate_gbps = 10.0;
-  link.propagation = 100;
-  link.loss_rate = 1.0;  // every packet dies on the coin
-  const auto att = net.Connect(&a, &b, link);
-
-  sim::PacketTrace trace;
-  net.SetTap(trace.AsTap());
-  net.SetDropTap(trace.AsDropTap());
-
-  proto::Message msg;
-  msg.op = proto::Op::kReadReq;
-  net.Send(&a, att.port_a, sim::MakePacket(1, 2, 5008, 5008, std::move(msg)));
-  sim.RunToCompletion();
-
-  EXPECT_EQ(trace.total_dropped(), 1u);
-  ASSERT_EQ(trace.entries().size(), 1u);
-  EXPECT_TRUE(trace.entries().back().dropped);
-  EXPECT_EQ(trace.entries().back().drop_reason, sim::DropReason::kInjectedLoss);
-  EXPECT_NE(trace.Dump().find("DROP"), std::string::npos);
+  EXPECT_STREQ(sim::DropReasonName(sim::DropReason::kSwitchReset),
+               "switch_reset");
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
 // Telemetry integration: an instrumented testbed run fills the capture
-// with spans and counter snapshots; instrumentation never perturbs
+// with hop records and counter snapshots; instrumentation never perturbs
 // results; captures are deterministic across repeats and job counts; and
 // the harness's record JSONL is byte-identical with telemetry on or off.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "harness/metrics.h"
 #include "harness/runner.h"
 #include "harness/telemetry_io.h"
 #include "telemetry/counters.h"
 #include "telemetry/export.h"
-#include "telemetry/trace.h"
 #include "testbed/serialize.h"
 #include "testbed/testbed.h"
 
@@ -46,28 +47,40 @@ TEST(TelemetryTestbed, InstrumentedRunFillsCapture) {
   testbed::RunTestbed(cfg);
 
   ASSERT_FALSE(cap.empty());
-  // Track order is fixed: switch, switch recirc, servers, clients.
-  ASSERT_GE(cap.tracks.size(), 2u + 4u + 2u);
-  EXPECT_EQ(cap.tracks[0], "tor");
-  EXPECT_EQ(cap.tracks[1], "tor.recirc");
+  const telemetry::StreamCapture& sc = cap.stream;
+  // Site order is fixed by attach order: every link direction, then the
+  // switch's pipeline, recirculation port and request table, then the
+  // servers (rx, queue, process each), then the clients (tx, rx each).
+  const auto first_not_link = std::find_if(
+      sc.sites.begin(), sc.sites.end(),
+      [](const std::string& site) { return site.rfind("link.", 0) != 0; });
+  const size_t links = static_cast<size_t>(first_not_link - sc.sites.begin());
+  ASSERT_GT(links, 0u);
+  EXPECT_EQ(links % 2, 0u) << "two directions per link";
+  ASSERT_EQ(sc.sites.size(), links + 3 + 4 * 3 + 2 * 2);
+  EXPECT_EQ(sc.sites[links], "tor.pipeline");
+  EXPECT_EQ(sc.sites[links + 1], "tor.recirc");
+  EXPECT_EQ(sc.sites[links + 2], "tor.request_table");
+  EXPECT_EQ(sc.sites[links + 3], "server-0.rx");
+  EXPECT_EQ(sc.sites[links + 5], "server-0.process");
+  EXPECT_EQ(sc.sites[links + 3 + 3 * 3], "server-3.rx");
+  const size_t first_client = links + 3 + 4 * 3;
+  for (size_t i = first_client; i < sc.sites.size(); ++i)
+    EXPECT_EQ(sc.sites[i].rfind("client-", 0), 0u) << sc.sites[i];
 
-  // Sampled requests produced full lifecycles: root spans with outcomes
+  // Sampled requests produced full lifecycles: closed flows with outcomes
   // and at least one switch pipeline pass each.
-  const auto summaries = telemetry::SummarizeRequests(cap.events);
-  ASSERT_GT(summaries.size(), 10u);
-  size_t with_outcome = 0, with_pipeline = 0;
-  for (const auto& s : summaries) {
-    if (s.total > 0) ++with_outcome;
-    for (const auto& [hop, dur] : s.hops) {
-      (void)dur;
-      if (hop == "pipeline") {
-        ++with_pipeline;
-        break;
-      }
-    }
-  }
-  EXPECT_GT(with_outcome, summaries.size() / 2);
-  EXPECT_GT(with_pipeline, summaries.size() / 2);
+  ASSERT_GT(sc.flows.size(), 10u);
+  std::vector<bool> with_pipeline(sc.flows.size(), false);
+  for (const auto& rec : sc.records)
+    if (rec.flow != 0 && rec.kind == telemetry::HopKind::kPipeline)
+      with_pipeline[rec.flow - 1] = true;
+  size_t with_outcome = 0;
+  for (const auto& f : sc.flows)
+    if (f.finished_at > 0) ++with_outcome;
+  EXPECT_GT(with_outcome, sc.flows.size() / 2);
+  EXPECT_GT(std::count(with_pipeline.begin(), with_pipeline.end(), true),
+            static_cast<std::ptrdiff_t>(sc.flows.size() / 2));
 
   // Periodic + final snapshots, in sim-time order, with live counters.
   ASSERT_GE(cap.snapshots.size(), 3u);
@@ -112,8 +125,8 @@ TEST(TelemetryTestbed, CaptureIsDeterministic) {
   telemetry::RunCapture a, b;
   run(&a);
   run(&b);
-  EXPECT_EQ(telemetry::ChromeTraceJson({{"p", &a}}),
-            telemetry::ChromeTraceJson({{"p", &b}}));
+  EXPECT_EQ(telemetry::ChromeTraceJson({{"p", &a.stream}}),
+            telemetry::ChromeTraceJson({{"p", &b.stream}}));
   ASSERT_EQ(a.snapshots.size(), b.snapshots.size());
   for (size_t i = 0; i < a.snapshots.size(); ++i) {
     EXPECT_EQ(a.snapshots[i].at, b.snapshots[i].at);
@@ -189,8 +202,8 @@ TEST(TelemetryIo, CountersJsonlRoundTripsAndCarriesIdentity) {
   EXPECT_EQ(first.Find("experiment")->AsString(), "unit_telemetry");
   EXPECT_NE(first.Find("params")->Find("scheme"), nullptr);
   EXPECT_GT(first.Find("counters")->object().size(), 10u);
-  // trace_sample 0 still permits counters but collects no spans.
-  for (const auto& cap : out.captures) EXPECT_TRUE(cap.events.empty());
+  // trace_sample 0 still permits counters but collects no hop records.
+  for (const auto& cap : out.captures) EXPECT_TRUE(cap.stream.records.empty());
 }
 
 TEST(TelemetryIo, CaptureLabelNamesPointAndParams) {

@@ -5,10 +5,15 @@
 // For every point (experiment/point/rep) the tool aggregates hop records
 // across that point's sampled flows and prints a per-hop percentile table
 // (count, p50/p90/p99/max of the latency each hop added, mean queue depth
-// on arrival, drops stamped there). Below the tables a fabric heatmap
+// on arrival, drops recorded there). Below the tables a fabric heatmap
 // renders each hop's p99 latency as a proportional bar, so one glance
 // shows where time is spent across client NICs, links, pipelines, the
-// recirculation orbit, and server queues.
+// recirculation orbit, and server queues. Last comes the per-request
+// table: each flow's time summed per hop kind (pipeline passes, recirc
+// orbits, request-table wait, server queue and service, links), then
+// count/min/mean/max over the flows that spent time there, headed by the
+// end-to-end row (first send to reply or timeout) — the paper's §5 latency
+// breakdown (Fig. 15) per sampled request.
 //
 // --compare aggregates both files hop-by-hop (across all points) and
 // prints p50/p99 side by side with relative deltas — the quick regression
@@ -23,6 +28,7 @@
 #include <vector>
 
 #include "harness/telemetry_io.h"
+#include "telemetry/export.h"
 
 namespace {
 
@@ -53,11 +59,13 @@ struct HopAgg {
   }
 };
 
-// Insertion-ordered hop aggregation (hop names appear in stamp order, which
-// is deterministic; std::map would alphabetize and shuffle the fabric view).
+// Insertion-ordered hop aggregation (hop names appear in record order,
+// which is deterministic; std::map would alphabetize and shuffle the
+// fabric view).
 struct Group {
   std::string label;
   std::vector<std::pair<std::string, HopAgg>> hops;
+  std::vector<orbit::telemetry::RequestSummary> requests;  // one per flow
   uint64_t flows = 0;
   uint64_t truncated = 0;
 
@@ -121,11 +129,16 @@ std::string GroupLabel(const JsonValue& line) {
   return label;
 }
 
-// Folds one postcard line's hops into `group` (or any Group-like sink).
+// Folds one postcard line's hops into `group`.
 void Accumulate(const JsonValue& line, Group* group) {
   ++group->flows;
   if (const JsonValue* t = line.Find("truncated_hops"))
     group->truncated += static_cast<uint64_t>(t->AsInt());
+  orbit::telemetry::RequestSummary& request = group->requests.emplace_back();
+  const JsonValue* start = line.Find("start_ns");
+  const JsonValue* finish = line.Find("finish_ns");
+  if (start != nullptr && finish != nullptr && finish->AsInt() != 0)
+    request.total = finish->AsInt() - start->AsInt();
   const JsonValue* hops = line.Find("hops");
   if (hops == nullptr || !hops->is_array()) return;
   for (const JsonValue& h : hops->array()) {
@@ -135,10 +148,23 @@ void Accumulate(const JsonValue& line, Group* group) {
     const JsonValue* lat = h.Find("latency_ns");
     const JsonValue* depth = h.Find("queue_depth");
     const JsonValue* drop = h.Find("drop");
+    const int64_t latency = lat != nullptr ? lat->AsInt() : 0;
     group->Hop(name->AsString())
-        .Add(lat != nullptr ? lat->AsInt() : 0,
-             depth != nullptr ? depth->AsDouble() : 0,
+        .Add(latency, depth != nullptr ? depth->AsDouble() : 0,
              drop != nullptr && drop->AsInt() != 0);
+    if (const JsonValue* kind = h.Find("kind"))
+      request.AddHop(kind->AsString(), latency);
+  }
+}
+
+void PrintRequestTable(const Group& group) {
+  std::printf("  -- per-request hop time --\n");
+  const std::string table =
+      orbit::telemetry::FormatHopBreakdown(group.requests);
+  for (size_t at = 0; at < table.size();) {
+    const size_t end = table.find('\n', at);
+    std::printf("  %s\n", table.substr(at, end - at).c_str());
+    at = end + 1;
   }
 }
 
@@ -190,6 +216,7 @@ void PrintGroup(Group& group) {
                 static_cast<double>(p99s[i]) / 1000.0);
     ++i;
   }
+  PrintRequestTable(group);
   std::printf("\n");
 }
 
